@@ -210,7 +210,7 @@ pub trait CompiledSim: Send + Sync {
     }
 
     /// The artifact as [`Any`], so backend-aware tooling can downcast to the
-    /// concrete type (e.g. `omnisim-dse` compiles its `SweepPlan` from the
+    /// concrete type (e.g. `omnisim-dse` compiles its `CompiledPlan` from the
     /// engine's artifact instead of going through [`Extras`]).
     fn as_any(&self) -> &dyn Any;
 
@@ -302,8 +302,8 @@ pub struct Capabilities {
     /// Ships an incremental-DSE payload in [`SimReport::extras`] that can
     /// re-answer FIFO-depth changes without a full re-run.
     pub incremental_dse: bool,
-    /// The compiled artifact can additionally be *compiled* into a frozen
-    /// batch sweep plan (`omnisim-dse`'s `SweepPlan::from_compiled`) for
+    /// The compiled artifact can additionally be *compiled* into a DSE
+    /// bytecode program (`omnisim-dse`'s `CompiledPlan::from_compiled`) for
     /// allocation-free, delta-evaluated grid solving.
     pub compiled_dse: bool,
     /// [`Simulator::compile`] produces an artifact whose [`CompiledSim::run`]

@@ -1,22 +1,22 @@
-//! DSE throughput benchmark: bytecode VM vs compiled [`SweepPlan`] vs
-//! per-point incremental analysis vs full re-simulation, in points/sec.
+//! DSE throughput benchmark: the compiled DSE VM vs per-point incremental
+//! analysis vs full re-simulation, in points/sec.
 //!
 //! Two grids over `fig4_ex5`, both in nested-loop order (last axis
-//! fastest) so the delta-evaluating paths see realistic single-axis steps:
+//! fastest) so the VM's delta evaluation sees realistic single-axis steps:
 //!
-//! * a **small grid** (40 x 25 = 1000 points) anchors the historical legs —
-//!   compiled plan vs per-point `IncrementalState::try_with_depths` vs a
+//! * a **small grid** (40 x 25 = 1000 points) times the VM against
+//!   per-point `IncrementalState::try_with_depths` and against a
 //!   sampled-and-extrapolated full re-simulation;
 //! * a **large grid** (960 x 25 = 24000 points, N = 1024) owns the
-//!   headline numbers — interpreter serial/parallel and bytecode VM
-//!   serial/parallel — where per-leg times are long enough to measure and
-//!   the parallel paths are past their work cutoffs.
+//!   headline numbers — the VM serial and parallel — where per-leg times
+//!   are long enough to measure and the parallel path is past its work
+//!   cutoff.
 //!
 //! Every throughput leg reports its best of several repetitions: the
 //! numbers feed ratio asserts, and single-shot wall times are far too
-//! noisy to gate on. Three ratios are enforced: compiled >= 10x
-//! incremental, bytecode >= 10x compiled, and parallel compiled >= serial
-//! compiled (the batch path must never be slower than the loop it wraps).
+//! noisy to gate on. Two ratios are enforced: VM >= 10x per-point
+//! incremental, and parallel VM >= 0.95x serial VM (the batch path must
+//! never be slower than the loop it wraps).
 //!
 //! Results are printed as a table and written to `BENCH_dse.json` so the
 //! perf trajectory of the compiled engine is recorded over time. Pass
@@ -26,7 +26,7 @@
 use omnisim_bench::secs;
 use omnisim_designs::fig4;
 use omnisim_suite::omnisim::{IncrementalOutcome, OmniSimulator};
-use omnisim_suite::SweepPlan;
+use omnisim_suite::CompiledPlan;
 use std::time::{Duration, Instant};
 
 /// Best wall-clock of `reps` runs of `f`, with the last run's value.
@@ -52,7 +52,7 @@ fn main() {
     let resim_sample = if smoke { 8 } else { 24 };
     let reps = if smoke { 3 } else { 5 };
 
-    // 40 x 25 = 1000 points for the small (historical) grid.
+    // 40 x 25 = 1000 points for the small grid.
     let points: Vec<Vec<usize>> = (1..=40usize)
         .flat_map(|d1| (1..=25usize).map(move |d2| vec![d1, d2]))
         .collect();
@@ -69,38 +69,40 @@ fn main() {
     let baseline_time = start.elapsed();
 
     let start = Instant::now();
-    let plan = SweepPlan::compile(&baseline.incremental).expect("plan compiles");
+    let plan = CompiledPlan::compile(&baseline.incremental).expect("plan compiles");
     let compile_time = start.elapsed();
     println!(
-        "baseline run {} + plan compile {} ({} nodes, {} edges, {} constraints)",
+        "baseline run {} + plan compile {} ({} registers, {} ops, {} constraints)",
         secs(baseline_time),
         secs(compile_time),
-        plan.node_count(),
-        plan.edge_count(),
+        plan.register_count(),
+        plan.op_count(),
         plan.constraint_count()
     );
 
-    // 1. Compiled plan on the small grid (one evaluator, delta evaluation).
-    let (small_compiled_time, small_compiled) =
-        best_of(reps, || plan.evaluate_batch(&points, false).expect("batch"));
-    let small_compiled_pps = pps(points.len(), small_compiled_time);
+    // 1. The VM on the small grid (one warm VM, delta evaluation).
+    let (small_time, small) = best_of(reps, || {
+        plan.evaluate_batch_workers(&points, 1)
+            .expect("VM batch succeeds")
+    });
+    let small_pps = pps(points.len(), small_time);
 
     // 2. Uncompiled incremental path, one cold pass per point.
     let start = Instant::now();
     let mut agreement = 0usize;
-    for (point, compiled_outcome) in points.iter().zip(&small_compiled) {
+    for (point, vm_outcome) in points.iter().zip(&small) {
         let outcome = baseline
             .incremental
             .try_with_depths(point)
             .expect("incremental pass succeeds");
-        agreement += usize::from(&outcome == compiled_outcome);
+        agreement += usize::from(&outcome == vm_outcome);
     }
     let incremental_time = start.elapsed();
     let incremental_pps = pps(points.len(), incremental_time);
     assert_eq!(
         agreement,
         points.len(),
-        "compiled and incremental answers must be identical"
+        "VM and incremental answers must be identical"
     );
 
     // 3. Full re-simulation, sampled and extrapolated.
@@ -114,20 +116,19 @@ fn main() {
     let resim_time = start.elapsed();
     let resim_pps = pps(sample.len(), resim_time);
 
-    let valid = small_compiled
+    let valid = small
         .iter()
         .filter(|o| matches!(o, IncrementalOutcome::Valid { .. }))
         .count();
     println!(
-        "{valid}/{} small-grid points certified by the plan; {} would fall back to re-simulation",
+        "{valid}/{} small-grid points certified by the VM; {} would fall back to re-simulation",
         points.len(),
         points.len() - valid
     );
 
     // 4. The large grid: 960 x 25 = 24000 points at N = 1024, where the
-    // parallel paths are past their work cutoffs and per-leg times are
-    // long enough to time reliably. Owns the headline interpreter-vs-VM
-    // numbers.
+    // parallel path is past its work cutoff and per-leg times are long
+    // enough to time reliably.
     let big_points: Vec<Vec<usize>> = (1..=960usize)
         .flat_map(|d1| (1..=25usize).map(move |d2| vec![d1, d2]))
         .collect();
@@ -137,54 +138,31 @@ fn main() {
     } else {
         let big_design = fig4::ex5_with_depths(1024, 2, 2);
         let big_baseline = OmniSimulator::new(&big_design).run().expect("baseline run");
-        big_plan_owned = SweepPlan::compile(&big_baseline.incremental).expect("plan compiles");
+        big_plan_owned = CompiledPlan::compile(&big_baseline.incremental).expect("plan compiles");
         &big_plan_owned
     };
-    let start = Instant::now();
-    let program = big_plan.compile_bytecode();
-    let lower_time = start.elapsed();
     println!(
-        "large grid: {} points at N = 1024, bytecode lowering {} ({} registers, {} ops)\n",
+        "large grid: {} points at N = 1024 ({} registers, {} ops)\n",
         big_points.len(),
-        secs(lower_time),
-        program.register_count(),
-        program.op_count()
+        big_plan.register_count(),
+        big_plan.op_count()
     );
-
-    let (compiled_time, compiled) = best_of(reps, || {
-        big_plan
-            .evaluate_batch(&big_points, false)
-            .expect("compiled batch succeeds")
-    });
-    let compiled_pps = pps(big_points.len(), compiled_time);
-
-    let (compiled_par_time, compiled_par) = best_of(reps, || {
-        big_plan
-            .evaluate_batch(&big_points, true)
-            .expect("compiled parallel batch succeeds")
-    });
-    let compiled_par_pps = pps(big_points.len(), compiled_par_time);
-    assert_eq!(compiled, compiled_par, "parallel chunking changes nothing");
 
     let (bytecode_time, bytecode) = best_of(reps, || {
-        program
+        big_plan
             .evaluate_batch_workers(&big_points, 1)
-            .expect("bytecode batch succeeds")
+            .expect("VM batch succeeds")
     });
     let bytecode_pps = pps(big_points.len(), bytecode_time);
-    assert_eq!(
-        compiled, bytecode,
-        "bytecode VM must answer bit-identically"
-    );
 
     let (bytecode_par_time, bytecode_par) = best_of(reps, || {
-        program
+        big_plan
             .evaluate_batch(&big_points, true)
-            .expect("bytecode parallel batch succeeds")
+            .expect("VM parallel batch succeeds")
     });
     let bytecode_par_pps = pps(big_points.len(), bytecode_par_time);
     assert_eq!(
-        compiled, bytecode_par,
+        bytecode, bytecode_par,
         "parallel VM chunking changes nothing"
     );
 
@@ -197,8 +175,7 @@ fn main() {
             bytecode_par_time,
             bytecode_par_pps,
         ),
-        ("compiled (sequential)", compiled_time, compiled_pps),
-        ("compiled (parallel)", compiled_par_time, compiled_par_pps),
+        ("bytecode VM (serial)*", small_time, small_pps),
         ("incremental per-point*", incremental_time, incremental_pps),
         ("full re-sim (sampled)*", resim_time, resim_pps),
     ];
@@ -207,53 +184,43 @@ fn main() {
     }
     omnisim_bench::rule(56);
     println!("(*) small 1000-point grid; other legs on the 24000-point grid");
-    let speedup_incremental = small_compiled_pps / incremental_pps.max(1e-9);
-    let speedup_resim = small_compiled_pps / resim_pps.max(1e-9);
-    let speedup_bytecode = bytecode_pps / compiled_pps.max(1e-9);
+    let speedup_incremental = small_pps / incremental_pps.max(1e-9);
+    let speedup_resim = small_pps / resim_pps.max(1e-9);
     println!(
-        "compiled vs incremental: {speedup_incremental:.1}x    compiled vs full re-sim: \
-         {speedup_resim:.0}x    bytecode vs compiled: {speedup_bytecode:.1}x"
+        "VM vs incremental: {speedup_incremental:.1}x    VM vs full re-sim: {speedup_resim:.0}x"
     );
 
     let json = format!(
         "{{\n  \"bench\": \"dse_throughput\",\n  \"design\": \"fig4_ex5\",\n  \"n\": {n},\n  \
-         \"points\": {},\n  \"big_points\": {},\n  \"smoke\": {smoke},\n  \"plan_nodes\": {},\n  \
-         \"plan_edges\": {},\n  \"plan_compile_secs\": {:.6},\n  \
-         \"bytecode_lower_secs\": {:.6},\n  \"bytecode_pps\": {bytecode_pps:.1},\n  \
-         \"bytecode_parallel_pps\": {bytecode_par_pps:.1},\n  \"compiled_pps\": {compiled_pps:.1},\n  \
-         \"compiled_parallel_pps\": {compiled_par_pps:.1},\n  \
-         \"small_compiled_pps\": {small_compiled_pps:.1},\n  \
+         \"points\": {},\n  \"big_points\": {},\n  \"smoke\": {smoke},\n  \
+         \"plan_registers\": {},\n  \"plan_ops\": {},\n  \"plan_compile_secs\": {:.6},\n  \
+         \"bytecode_pps\": {bytecode_pps:.1},\n  \
+         \"bytecode_parallel_pps\": {bytecode_par_pps:.1},\n  \
+         \"small_bytecode_pps\": {small_pps:.1},\n  \
          \"incremental_pps\": {incremental_pps:.1},\n  \"full_resim_pps\": {resim_pps:.3},\n  \
          \"speedup_compiled_vs_incremental\": {speedup_incremental:.2},\n  \
-         \"speedup_compiled_vs_full_resim\": {speedup_resim:.1},\n  \
-         \"speedup_bytecode_vs_compiled\": {speedup_bytecode:.2}\n}}\n",
+         \"speedup_compiled_vs_full_resim\": {speedup_resim:.1}\n}}\n",
         points.len(),
         big_points.len(),
-        plan.node_count(),
-        plan.edge_count(),
+        plan.register_count(),
+        plan.op_count(),
         compile_time.as_secs_f64(),
-        lower_time.as_secs_f64(),
     );
     std::fs::write("BENCH_dse.json", &json).expect("write BENCH_dse.json");
     println!("\nwrote BENCH_dse.json");
 
     assert!(
         speedup_incremental >= 10.0,
-        "the compiled plan must be >= 10x faster than per-point incremental analysis \
+        "the VM must be >= 10x faster than per-point incremental analysis \
          (got {speedup_incremental:.1}x)"
     );
     // The work cutoff must keep `parallel = true` from ever regressing the
-    // serial loop it wraps (pre-cutoff it measured 0.83x on paper-sized
-    // batches). On low-core machines both legs resolve to the same serial
-    // path, so allow a small measurement-noise tolerance on the ratio.
+    // serial loop it wraps. On low-core machines both legs resolve to the
+    // same serial path, so allow a small measurement-noise tolerance on the
+    // ratio.
     assert!(
-        compiled_par_pps >= 0.95 * compiled_pps,
+        bytecode_par_pps >= 0.95 * bytecode_pps,
         "the parallel batch path must not be slower than the serial loop it wraps \
-         (parallel {compiled_par_pps:.0} pps vs serial {compiled_pps:.0} pps)"
-    );
-    assert!(
-        speedup_bytecode >= 10.0,
-        "the bytecode VM must be >= 10x faster than the interpreted plan \
-         (got {speedup_bytecode:.1}x)"
+         (parallel {bytecode_par_pps:.0} pps vs serial {bytecode_pps:.0} pps)"
     );
 }

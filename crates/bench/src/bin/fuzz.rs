@@ -21,9 +21,6 @@
 //! * `--deadlocks P` — forced-deadlock probability in percent,
 //! * `--min-depths` — also ground-truth the `min_depths` certificate with
 //!   full re-simulations (the tightness oracle),
-//! * `--bytecode` / `--no-bytecode` — force the bytecode-VM differential
-//!   leg on/off (on by default: every DSE vector is also answered by the
-//!   register-allocated VM, running a codec-roundtripped program),
 //! * `--analyze` / `--no-analyze` — force the static-analyzer soundness
 //!   leg on/off (on by default: certificates and depth bounds are checked
 //!   against the reference outcome and the `min_depths` certificate),
@@ -147,14 +144,6 @@ fn main() {
     let mut diff = DiffConfig::default();
     if args.iter().any(|a| a == "--min-depths") {
         diff.min_depths_resim = true;
-    }
-    // `--bytecode` pins the leg on even if a future default flips; the
-    // explicit off-switch wins when both are given.
-    if args.iter().any(|a| a == "--bytecode") {
-        diff.bytecode = true;
-    }
-    if args.iter().any(|a| a == "--no-bytecode") {
-        diff.bytecode = false;
     }
     if args.iter().any(|a| a == "--analyze") {
         diff.analyze = true;

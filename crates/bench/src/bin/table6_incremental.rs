@@ -10,13 +10,13 @@
 //!   design still makes it cheaper than the initial run.
 //!
 //! The batch equivalent of this workflow is `omnisim_suite::Sweep`, shown at
-//! the end together with the compiled `SweepPlan` it runs on (the plan is
-//! compiled straight from the session artifact via `from_compiled`).
+//! the end together with the compiled `CompiledPlan` it runs on (the plan
+//! is compiled straight from the session artifact via `from_compiled`).
 
 use omnisim_bench::secs;
 use omnisim_designs::{fig4, DEFAULT_N};
 use omnisim_suite::omnisim::{CompiledOmni, IncrementalOutcome};
-use omnisim_suite::{backend, RunConfig, Sweep, SweepPlan};
+use omnisim_suite::{backend, CompiledPlan, RunConfig, Sweep};
 use std::time::Instant;
 
 fn main() {
@@ -116,24 +116,25 @@ fn main() {
     );
 
     // The same two queries against the *compiled* plan: the session
-    // artifact's frozen incremental state compiles into a CSR sweep plan
-    // whose per-point evaluation allocates nothing.
+    // artifact's frozen incremental state compiles into a bytecode program
+    // whose VM allocates nothing per point.
     let start = Instant::now();
-    let plan = SweepPlan::from_compiled(session.as_ref())
+    let plan = CompiledPlan::from_compiled(session.as_ref())
         .expect("the omnisim artifact compiles into a plan")
         .expect("plan compiles");
     let compile_time = start.elapsed();
     let start = Instant::now();
-    let mut evaluator = plan.evaluator();
-    let compiled_a = evaluator.evaluate(&[2, 100]).expect("plan evaluates");
-    let compiled_b = evaluator.evaluate(&[100, 2]).expect("plan evaluates");
+    let mut vm = plan.vm();
+    let compiled_a = vm.evaluate(&[2, 100]).expect("plan evaluates");
+    let compiled_b = vm.evaluate(&[100, 2]).expect("plan evaluates");
     let eval_time = start.elapsed();
     assert_eq!(compiled_a, incremental.try_with_depths(&[2, 100]).unwrap());
     assert_eq!(compiled_b, incremental.try_with_depths(&[100, 2]).unwrap());
     println!(
-        "\ncompiled plan: {} nodes compiled in {}, both queries re-answered in {:.1?} \
-         (identical verdicts)",
-        plan.node_count(),
+        "\ncompiled plan: {} registers, {} ops compiled in {}, both queries re-answered \
+         in {:.1?} (identical verdicts)",
+        plan.register_count(),
+        plan.op_count(),
         secs(compile_time),
         eval_time
     );

@@ -13,7 +13,7 @@
 //! * `fig8_runtime` — runtime vs the reference simulator + OmniSim breakdown,
 //! * `table5_vs_lightningsim` — OmniSim vs the LightningSim baseline,
 //! * `table6_incremental` — the incremental FIFO-resizing case study,
-//! * `dse_throughput` — compiled `SweepPlan` vs per-point incremental vs
+//! * `dse_throughput` — the compiled DSE VM vs per-point incremental vs
 //!   full re-simulation, in points/sec (writes `BENCH_dse.json`),
 //! * `api_throughput` — one-shot `simulate()` vs amortized compile-once
 //!   `run()` per backend, plus `SimService` batched serving throughput

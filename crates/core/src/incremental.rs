@@ -200,8 +200,8 @@ impl IncrementalState {
 
     /// The first FIFO (in declaration order) holding a committed blocking
     /// write whose freeing read does not exist under `depths` — the
-    /// [`IncrementalOutcome::DepthInfeasible`] detection shared verbatim
-    /// with the compiled `SweepPlan` evaluator.
+    /// [`IncrementalOutcome::DepthInfeasible`] detection the compiled DSE
+    /// VM replicates bit-identically.
     pub fn first_infeasible_fifo(&self, depths: &[usize]) -> Option<usize> {
         depths.iter().enumerate().position(|(f, &depth)| {
             let writes = self.fifo_write_nodes[f].len();

@@ -10,8 +10,8 @@
 //! microsecond-scale re-finalization for FIFO-depth overrides whose
 //! recorded constraints hold (§7.2), a cached replay for the compiled
 //! depths, and a transparent full re-simulation only where a constraint
-//! flips. `omnisim-dse` upgrades the same artifact into its `SweepPlan`
-//! (CSR compilation, delta evaluation) by downcasting through
+//! flips. `omnisim-dse` upgrades the same artifact into its `CompiledPlan`
+//! (bytecode compilation, delta evaluation) by downcasting through
 //! [`CompiledSim::as_any`].
 //!
 //! The one-shot [`Simulator::simulate`] stays a native end-to-end run, so
@@ -178,7 +178,7 @@ impl CompiledOmni {
     }
 
     /// The frozen incremental state — the §7.2 machinery the runs are
-    /// answered from. `omnisim-dse` compiles its `SweepPlan` from this.
+    /// answered from. `omnisim-dse` compiles its `CompiledPlan` from this.
     pub fn state(&self) -> &crate::IncrementalState {
         &self.baseline.incremental
     }

@@ -1,12 +1,10 @@
-//! The bytecode backend of the compiled DSE engine: a [`SweepPlan`]
-//! lowered into a register-allocated linear program executed by a tight
-//! zero-dependency VM loop.
+//! The compiled DSE engine's program and VM: a baseline run lowered into a
+//! register-allocated linear program executed by a tight zero-dependency
+//! VM loop.
 //!
-//! The [`PlanEvaluator`](crate::PlanEvaluator) interprets the frozen CSR
-//! graph: every point walks edge lists through two levels of indirection,
-//! resolves each FIFO's depth-parameterized WAR edge by scanning *all* of
-//! its writes, and re-derives worklist order from a binary heap.
-//! [`SweepPlan::compile_bytecode`] removes all of that ahead of time:
+//! [`CompiledPlan::compile`] (in [`crate::plan`]) does all graph work
+//! ahead of time, so evaluating a point never walks edge lists, scans a
+//! FIFO's writes for its WAR edge or orders a worklist with a heap:
 //!
 //! * **Register allocation** — nodes are renumbered by topological rank,
 //!   so register `r`'s value depends only on registers `< r` and the whole
@@ -25,14 +23,15 @@
 //!   worklist in register order, stopping wherever a recomputed register
 //!   is unchanged.
 //!
-//! Outcomes are **bit-identical** to the interpreter and to
-//! [`IncrementalState::try_with_depths`]: infeasible depths are rejected
-//! in the same order ([`IncrementalOutcome::DepthInfeasible`]), points
-//! below the cached order's supported bound take the same allocating Kahn
-//! slow path (reporting [`IncrementalOutcome::DepthCyclic`] when no order
-//! exists), constraints are re-checked in recording order, and the latency
-//! formula is unchanged. The differential fuzz oracle pins this three ways
-//! (`VM == PlanEvaluator == try_with_depths`) across every generator
+//! Outcomes are **bit-identical** to
+//! [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths):
+//! infeasible depths are rejected in the same order
+//! ([`IncrementalOutcome::DepthInfeasible`]), points below the cached
+//! order's supported bound take an allocating Kahn slow path (reporting
+//! [`IncrementalOutcome::DepthCyclic`] when no order exists), constraints
+//! are re-checked in recording order, and the latency formula is
+//! unchanged. The differential fuzz oracle pins this three ways
+//! (`VM == try_with_depths == full re-simulation`) across every generator
 //! preset.
 //!
 //! Programs serialize through `omnisim-codec` ([`CompiledPlan::encode`] /
@@ -40,10 +39,12 @@
 //! them in its `ArtifactStore` next to the session artifacts they were
 //! lowered from and warm-start the DSE fast path across process restarts.
 
-use crate::plan::{PlanError, SweepPlan, NONE};
+use crate::plan::PlanError;
 use omnisim::IncrementalOutcome;
 use omnisim_codec::{frame, unframe, ByteReader, ByteWriter, CodecError};
-use omnisim_graph::NodeId;
+
+/// Sentinel for "this register is not a FIFO access" in the lookup tables.
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Magic bytes of the encoded bytecode program ("OmniSim Bytecode").
 pub const BYTECODE_MAGIC: [u8; 4] = *b"OSBC";
@@ -65,31 +66,38 @@ pub const BYTECODE_VERSION: u16 = 1;
 /// only when a source register changes, so a pure depth change re-applies
 /// just the `WAR` tail against the cached prefix value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Op {
-    a: u32,
-    b: i64,
+pub(crate) struct Op {
+    pub(crate) a: u32,
+    pub(crate) b: i64,
 }
 
-/// Per-FIFO access lane in register space (same shape as the plan's node
-/// -space lane, so feasibility and constraint checks replicate verbatim).
+/// Per-FIFO access lane in register space, frozen from the baseline run's
+/// commit order (same shape as the engine's lanes, so feasibility and
+/// constraint checks replicate verbatim).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct VmLane {
+pub(crate) struct VmLane {
     /// Register of each committed write, in commit order.
-    writes: Vec<u32>,
-    /// Blocking flag of each committed write.
-    write_blocking: Vec<bool>,
+    pub(crate) writes: Vec<u32>,
+    /// Blocking flag of each committed write (only blocking writes stall,
+    /// so only they receive WAR edges).
+    pub(crate) write_blocking: Vec<bool>,
     /// Register of each committed read, in commit order.
-    reads: Vec<u32>,
+    pub(crate) reads: Vec<u32>,
 }
 
 /// A recorded query constraint with its node rewritten to register space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VmConstraint {
-    write_side: bool,
-    fifo: u32,
-    ordinal: u32,
-    reg: u32,
-    outcome: bool,
+pub(crate) struct VmConstraint {
+    /// True for write-side queries (Table 2 rows 1–2).
+    pub(crate) write_side: bool,
+    /// FIFO index.
+    pub(crate) fifo: u32,
+    /// 1-based access ordinal.
+    pub(crate) ordinal: u32,
+    /// Register of the query itself.
+    pub(crate) reg: u32,
+    /// Outcome observed during the baseline run.
+    pub(crate) outcome: bool,
 }
 
 /// One WAR instruction's location: the occupancy slot (write index) and
@@ -123,14 +131,18 @@ struct RsConstraint {
     outcome: bool,
 }
 
-/// A [`SweepPlan`] lowered to a register-allocated linear program.
+/// A baseline run compiled to a register-allocated linear program.
 ///
 /// Self-contained (it embeds everything evaluation needs, including the
 /// forward graph for the sub-minimum-depth slow path), `Send + Sync`, and
 /// serializable with [`CompiledPlan::encode`] / [`CompiledPlan::decode`].
-/// Build one with [`SweepPlan::compile_bytecode`]; evaluate with
+/// Build one with [`CompiledPlan::compile`] or
+/// [`CompiledPlan::from_compiled`]; evaluate with
 /// [`CompiledPlan::evaluate`] / [`CompiledPlan::evaluate_batch`] or a
-/// reusable [`CompiledVm`].
+/// reusable [`CompiledVm`]. Answers are bit-identical to
+/// [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths)
+/// — same latencies, same first-violated-constraint indices — without its
+/// per-point overlay allocation and graph rebuild.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledPlan {
     /// Number of registers (= plan nodes); the time tape's length.
@@ -187,91 +199,21 @@ pub struct CompiledPlan {
     end_regs: Vec<u32>,
     /// FIFO depths of the baseline run.
     original_depths: Vec<usize>,
-    /// Per-FIFO minimum depth the register order supports; probes below it
-    /// take the allocating slow path, exactly as in the interpreter.
+    /// Per-FIFO minimum depth the register order supports. For
+    /// single-rate pipelines this is 1 everywhere; multi-rate reconvergence
+    /// can make the depth-1 overlay genuinely cyclic (the design would
+    /// deadlock at depth 1), in which case probes below it take the
+    /// allocating slow path.
     supported_min_depth: Vec<usize>,
 }
 
 impl CompiledPlan {
-    /// Lowers a frozen plan into its bytecode program. Total: every
-    /// successfully compiled [`SweepPlan`] lowers.
-    pub(crate) fn lower(plan: &SweepPlan) -> CompiledPlan {
-        let n = plan.fwd.len();
-        assert!(
-            (n as u64) < NONE as u64 && (plan.lanes.len() as u64) < NONE as u64,
-            "plan size exceeds the bytecode register space"
-        );
-        let reg_of = |node: u32| plan.topo_rank[node as usize];
-
-        let mut base = Vec::with_capacity(n);
-        let mut ops = Vec::new();
-        let mut group_start = Vec::with_capacity(n + 1);
-        let mut fwd_row = Vec::with_capacity(n + 1);
-        let mut fwd_col = Vec::new();
-        let mut fwd_weight = Vec::new();
-        for r in 0..n {
-            let node = plan.topo[r];
-            base.push(plan.fwd.base(NodeId(node)));
-            group_start.push(ops.len() as u32);
-            for (pred, weight) in plan.rev.successors(NodeId(node)) {
-                ops.push(Op {
-                    a: reg_of(pred.0),
-                    b: weight,
-                });
-            }
-            fwd_row.push(fwd_col.len() as u32);
-            for (succ, weight) in plan.fwd.successors(NodeId(node)) {
-                fwd_col.push(reg_of(succ.0));
-                fwd_weight.push(weight);
-            }
-        }
-        group_start.push(ops.len() as u32);
-        fwd_row.push(fwd_col.len() as u32);
-
-        let lanes: Vec<VmLane> = plan
-            .lanes
-            .iter()
-            .map(|lane| VmLane {
-                writes: lane.writes.iter().map(|&w| reg_of(w)).collect(),
-                write_blocking: lane.write_blocking.clone(),
-                reads: lane.reads.iter().map(|&r| reg_of(r)).collect(),
-            })
-            .collect();
-        let constraints = plan
-            .constraints
-            .iter()
-            .map(|c| VmConstraint {
-                write_side: c.write_side,
-                fifo: c.fifo,
-                ordinal: c.ordinal,
-                reg: reg_of(c.node),
-                outcome: c.outcome,
-            })
-            .collect();
-        let end_regs = plan.end_nodes.iter().map(|&node| reg_of(node)).collect();
-
-        CompiledPlan::assemble(
-            n as u32,
-            base,
-            ops,
-            group_start,
-            fwd_row,
-            fwd_col,
-            fwd_weight,
-            lanes,
-            constraints,
-            end_regs,
-            plan.original_depths.clone(),
-            plan.supported_min_depth.clone(),
-        )
-    }
-
     /// Builds a program from its serialized fields, computing every
     /// derived table (dirty-set entries, feasibility bounds, read lookup,
-    /// verdict buckets) — shared by [`CompiledPlan::lower`] and
+    /// verdict buckets) — shared by [`CompiledPlan::compile`] and
     /// [`CompiledPlan::decode`] so both paths agree structurally.
     #[allow(clippy::too_many_arguments)]
-    fn assemble(
+    pub(crate) fn assemble(
         regs: u32,
         base: Vec<u64>,
         ops: Vec<Op>,
@@ -406,8 +348,8 @@ impl CompiledPlan {
         }
     }
 
-    /// Validates one depth vector against the program (same rules as the
-    /// interpreter: arity must match, depths must be ≥ 1).
+    /// Validates one depth vector against the program: arity must match,
+    /// depths must be ≥ 1.
     fn validate(&self, depths: &[usize]) -> Result<(), PlanError> {
         if depths.len() != self.lanes.len() {
             return Err(PlanError::DepthMismatch {
@@ -434,11 +376,10 @@ impl CompiledPlan {
 
     /// Estimated-work cutoff (points × registers) below which
     /// [`CompiledPlan::evaluate_batch`]`(…, parallel = true)` stays serial.
-    /// The VM's per-point cost is an order of magnitude below the
-    /// interpreter's, so the fixed parallel costs (thread spawn/join, one
-    /// cold full program run per chunk, chunks losing the warm VM's memo
-    /// locality) amortize nearly two orders of magnitude later than
-    /// [`SweepPlan::PARALLEL_WORK_CUTOFF`].
+    /// A warm VM answers most points of a dense sweep from its memos, so
+    /// the fixed parallel costs (thread spawn/join, one cold full program
+    /// run per chunk, chunks losing the warm VM's memo locality) amortize
+    /// only on very large batches.
     pub(crate) const PARALLEL_WORK_CUTOFF: usize = 128_000_000;
 
     fn auto_workers(&self, points: usize) -> usize {
@@ -641,12 +582,11 @@ impl CompiledPlan {
         ))
     }
 
-    /// Replicates `IncrementalState::first_infeasible_fifo` (and the
-    /// interpreter's copy of it) so rejection order is bit-identical:
-    /// "some blocking write sits at slot ≥ depth + reads" is exactly
-    /// "the highest blocking slot does", i.e. `depth ≤ max − reads`, so
-    /// the per-point check is one precomputed threshold compare per FIFO
-    /// instead of the interpreter's bool-slice scan.
+    /// Replicates `IncrementalState::first_infeasible_fifo` so rejection
+    /// order is bit-identical: "some blocking write sits at slot ≥ depth +
+    /// reads" is exactly "the highest blocking slot does", i.e. `depth ≤
+    /// max − reads`, so the per-point check is one precomputed threshold
+    /// compare per FIFO instead of a bool-slice scan.
     #[inline]
     fn first_infeasible_fifo(&self, depths: &[usize]) -> Option<usize> {
         depths
@@ -749,7 +689,7 @@ fn war_time(
 /// First mismatching write-side constraint of FIFO `f` under depth `d`
 /// over `tape` ([`MEMO_CLEAN`] when the whole bucket holds). Replicates
 /// `IncrementalState::evaluate_constraint`'s write side, scanning in
-/// recording order with the interpreter's early exit.
+/// recording order and stopping at the first mismatch.
 fn ws_first_mismatch(plan: &CompiledPlan, tape: &[u64], f: usize, d: usize) -> u32 {
     let lane = &plan.lanes[f];
     for c in &plan.ws_by_fifo[f] {
@@ -853,7 +793,7 @@ impl CompiledVm<'_> {
     }
 
     /// Evaluates one depth vector, bit-identically to
-    /// [`crate::PlanEvaluator::evaluate`].
+    /// [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths).
     ///
     /// # Errors
     ///
@@ -1085,9 +1025,9 @@ impl CompiledVm<'_> {
     /// The allocating path for depths below the register order's bound: a
     /// fresh Kahn pass over base + overlay edges (reporting
     /// [`IncrementalOutcome::DepthCyclic`] when none exists), then a
-    /// relaxation in that order — bit-identical to the interpreter's slow
-    /// path, which this mirrors in register space. The tape it leaves
-    /// behind is exact, so later fast-path points still delta-execute.
+    /// relaxation in that order, bit-identical to `try_with_depths`. The
+    /// tape it leaves behind is exact, so later fast-path points still
+    /// delta-execute.
     fn evaluate_slow(&mut self, depths: &[usize]) -> IncrementalOutcome {
         let plan = self.plan;
         let n = plan.regs as usize;
@@ -1260,15 +1200,13 @@ mod tests {
     }
 
     #[test]
-    fn vm_matches_interpreter_and_try_with_depths_on_random_walks() {
+    fn vm_matches_try_with_depths_on_random_walks() {
         for design in [nb_drop_counter(48, 2, 3), producer_consumer(48, 3, 2)] {
             let baseline = OmniSimulator::new(&design).run().unwrap();
-            let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-            let program = plan.compile_bytecode();
-            let mut interp = plan.evaluator();
+            let program = CompiledPlan::compile(&baseline.incremental).unwrap();
             let mut vm = program.vm();
             let mut rng = Rng(0xb17e_c0de_5eed_0001);
-            let mut depths = vec![1usize; plan.fifo_count()];
+            let mut depths = vec![1usize; program.fifo_count()];
             for step in 0..120 {
                 // Mostly single-axis deltas (the delta path), occasionally
                 // a jump (bigger dirty sets), rarely a repeat (no-op path).
@@ -1281,29 +1219,33 @@ mod tests {
                     };
                 }
                 let expected = baseline.incremental.try_with_depths(&depths).unwrap();
-                let from_interp = interp.evaluate(&depths).unwrap();
                 let from_vm = vm.evaluate(&depths).unwrap();
                 assert_eq!(from_vm, expected, "step {step} depths {depths:?}");
-                assert_eq!(from_vm, from_interp, "step {step} depths {depths:?}");
             }
         }
     }
 
+    /// A warm VM walked through small deltas and occasional jumps answers
+    /// every point exactly like a cold one (one full program run), which
+    /// isolates the delta path.
     #[test]
     fn one_shot_and_warm_vm_answers_agree() {
         let design = nb_drop_counter(40, 2, 3);
         let baseline = OmniSimulator::new(&design).run().unwrap();
-        let program = SweepPlan::compile(&baseline.incremental)
-            .unwrap()
-            .compile_bytecode();
+        let program = CompiledPlan::compile(&baseline.incremental).unwrap();
         let mut warm = program.vm();
         let mut rng = Rng(0xb17e_c0de_5eed_0002);
-        for _ in 0..40 {
-            let depths = vec![rng.depth(128)];
+        let mut depths = vec![2usize];
+        for step in 0..60 {
+            depths[0] = if step % 7 == 0 {
+                rng.depth(128)
+            } else {
+                (depths[0] + rng.depth(3)).saturating_sub(1).max(1)
+            };
             assert_eq!(
                 warm.evaluate(&depths).unwrap(),
                 program.evaluate(&depths).unwrap(),
-                "depths {depths:?}"
+                "step {step} depths {depths:?}"
             );
         }
     }
@@ -1312,50 +1254,24 @@ mod tests {
     fn batch_serial_parallel_and_pinned_workers_agree() {
         let design = nb_drop_counter(32, 1, 4);
         let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        let program = plan.compile_bytecode();
+        let program = CompiledPlan::compile(&baseline.incremental).unwrap();
         let points: Vec<Vec<usize>> = (1..=96).map(|d| vec![d]).collect();
         let serial = program.evaluate_batch(&points, false).unwrap();
         let auto = program.evaluate_batch(&points, true).unwrap();
         let pinned = program.evaluate_batch_workers(&points, 3).unwrap();
         assert_eq!(serial, auto);
         assert_eq!(serial, pinned);
-        assert_eq!(serial, plan.evaluate_batch(&points, false).unwrap());
-    }
-
-    #[test]
-    fn validation_matches_the_interpreter() {
-        let design = producer_consumer(8, 2, 1);
-        let baseline = OmniSimulator::new(&design).run().unwrap();
-        let program = SweepPlan::compile(&baseline.incremental)
-            .unwrap()
-            .compile_bytecode();
-        assert_eq!(
-            program.evaluate(&[1, 2]).unwrap_err(),
-            PlanError::DepthMismatch {
-                expected: 1,
-                got: 2
-            }
-        );
-        assert_eq!(
-            program.evaluate(&[0]).unwrap_err(),
-            PlanError::ZeroDepth { fifo: 0 }
-        );
-        assert_eq!(
-            program
-                .evaluate_batch(&[vec![1], vec![0]], true)
-                .unwrap_err(),
-            PlanError::ZeroDepth { fifo: 0 }
-        );
+        for (point, outcome) in points.iter().zip(&serial) {
+            let manual = baseline.incremental.try_with_depths(point).unwrap();
+            assert_eq!(*outcome, manual, "depths {point:?}");
+        }
     }
 
     #[test]
     fn encode_decode_round_trips_bit_identically() {
         let design = nb_drop_counter(48, 2, 3);
         let baseline = OmniSimulator::new(&design).run().unwrap();
-        let program = SweepPlan::compile(&baseline.incremental)
-            .unwrap()
-            .compile_bytecode();
+        let program = CompiledPlan::compile(&baseline.incremental).unwrap();
         let bytes = program.encode();
         let decoded = CompiledPlan::decode(&bytes).unwrap();
         assert_eq!(decoded, program, "decoded program is structurally equal");
@@ -1375,9 +1291,7 @@ mod tests {
     fn corrupted_encodings_are_rejected_not_panicking() {
         let design = producer_consumer(16, 2, 1);
         let baseline = OmniSimulator::new(&design).run().unwrap();
-        let program = SweepPlan::compile(&baseline.incremental)
-            .unwrap()
-            .compile_bytecode();
+        let program = CompiledPlan::compile(&baseline.incremental).unwrap();
         let good = program.encode();
         assert!(CompiledPlan::decode(&good[..good.len() / 2]).is_err());
         let mut bad_magic = good.clone();

@@ -11,8 +11,8 @@
 //! plan was compiled from — and each FIFO is binary-searched between 1 and
 //! its nearest known-good depth (the baseline anchor, or the search bound
 //! when that certifies too) while every other FIFO is held at its anchor.
-//! The whole search costs ≈ `fifos · log2(max_depth)` compiled evaluations
-//! instead of a full grid.
+//! The whole search costs ≈ `fifos · log2(max_depth)` evaluations on one
+//! warm [`CompiledVm`](crate::CompiledVm) instead of a full grid.
 //!
 //! Probes whose recorded constraints no longer hold are conservatively
 //! treated as *not meeting the target*: the plan cannot certify their
@@ -24,10 +24,11 @@
 //! re-evaluated once so callers can see whether the joint minimum still
 //! certifies.
 
-use crate::plan::{PlanError, SweepPlan};
+use crate::bytecode::CompiledPlan;
+use crate::plan::PlanError;
 use omnisim::IncrementalOutcome;
 
-/// The result of a [`SweepPlan::min_depths`] search.
+/// The result of a [`CompiledPlan::min_depths`] search.
 #[derive(Debug, Clone)]
 pub struct MinDepthsReport {
     /// The latency bound the search was asked to meet.
@@ -43,7 +44,7 @@ pub struct MinDepthsReport {
     /// are individually certified, but their combination can stall more
     /// than any single probe did, so it is re-checked once.
     pub combined: IncrementalOutcome,
-    /// Number of compiled point evaluations the search spent.
+    /// Number of VM point evaluations the search spent.
     pub probes: usize,
 }
 
@@ -57,7 +58,7 @@ impl MinDepthsReport {
     }
 }
 
-impl SweepPlan {
+impl CompiledPlan {
     /// Searches, per FIFO, for the smallest depth in `1..=max_depth` whose
     /// certified latency meets `target_latency`, holding every other FIFO
     /// at its baseline anchor (the compiled run's depth, clamped to the
@@ -80,12 +81,12 @@ impl SweepPlan {
             .iter()
             .map(|&d| d.clamp(1, max_depth))
             .collect();
-        let mut eval = self.evaluator();
+        let mut vm = self.vm();
         let mut probes = 0usize;
         let mut meets = |depths: &[usize]| -> Result<bool, PlanError> {
             probes += 1;
             Ok(matches!(
-                eval.evaluate(depths)?,
+                vm.evaluate(depths)?,
                 IncrementalOutcome::Valid { total_cycles } if total_cycles <= target_latency
             ))
         };
@@ -133,7 +134,7 @@ impl SweepPlan {
             .zip(&anchors)
             .map(|(d, &anchor)| d.unwrap_or(anchor))
             .collect();
-        let combined = eval.evaluate(&depths)?;
+        let combined = vm.evaluate(&depths)?;
         probes += 1;
         Ok(MinDepthsReport {
             target_latency,

@@ -1,27 +1,15 @@
-//! The compiled sweep plan: a baseline run frozen into a CSR graph that
-//! answers FIFO-depth queries with no per-point allocation.
+//! Compiling a baseline run into the DSE bytecode program.
 //!
-//! [`SweepPlan::compile`] is run **once** per baseline
+//! [`CompiledPlan::compile`] is run **once** per baseline
 //! [`IncrementalState`]. It freezes the engine's online
 //! [`EventGraph`](omnisim_graph::EventGraph) into a
 //! [`CsrGraph`](omnisim_graph::CsrGraph) (plus its transpose for
-//! incoming-edge traversal), partitions the depth-parameterized
-//! write-after-read constraints per FIFO, caches one topological order that
-//! stays valid for *every* depth vector with depths ≥ 1, and compiles the
-//! recorded query constraints into a flat table. Each
-//! [`PlanEvaluator`] then owns a reusable time buffer and answers points by
-//!
-//! * **levelized relaxation** — one pass over the cached topological order,
-//!   relaxing CSR successors plus the WAR edge implied by the current
-//!   depths, touching no allocator, and
-//! * **delta evaluation** — between consecutive points, only nodes
-//!   downstream of FIFOs whose depth actually changed are recomputed, via a
-//!   topo-rank-ordered worklist that stops propagating wherever a node's
-//!   time is unchanged.
-//!
-//! [`SweepPlan::evaluate_batch`] splits a point list into contiguous chunks
-//! and solves them on scoped threads, one evaluator per chunk, so grid
-//! sweeps keep their delta locality while using every core.
+//! incoming-edge runs), caches one topological order that stays valid for
+//! *every* depth vector with depths ≥ 1, and lowers the lot straight into
+//! register space: registers numbered by topological rank, one `RELAX` run
+//! per register, per-FIFO access lanes and a flat constraint table. The
+//! frozen graph is dropped once lowered; the [`CompiledPlan`] is all that
+//! remains (see [`crate::bytecode`] for the program and its VM).
 //!
 //! The depth-1 lower bound exists because the cached topological order must
 //! anticipate every WAR edge any depth vector can introduce: for depth `S`,
@@ -32,57 +20,18 @@
 //! go through [`IncrementalState::try_with_depths`] instead; the `Sweep`
 //! driver does exactly that.
 
-use crate::pool;
-use omnisim::{CompiledOmni, IncrementalOutcome, IncrementalState, OmniError};
+use crate::bytecode::{CompiledPlan, Op, VmConstraint, VmLane, NONE};
+use omnisim::{CompiledOmni, IncrementalState, OmniError};
 use omnisim_api::CompiledSim;
-use omnisim_graph::{CsrGraph, CsrGraphBuilder, CycleError, Edge, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use omnisim_graph::{CsrGraphBuilder, CycleError, Edge, NodeId};
 use std::error::Error;
 use std::fmt;
 
-/// Sentinel for "this node is not a FIFO access" in the lookup tables.
-pub(crate) const NONE: u32 = u32::MAX;
+/// The former name of [`CompiledPlan`], from when the frozen graph and its
+/// bytecode lowering were two types. Both names denote the same program.
+pub type SweepPlan = CompiledPlan;
 
-/// Per-FIFO access lanes, frozen from the baseline run's commit order.
-#[derive(Debug, Clone)]
-pub(crate) struct FifoLane {
-    /// Node of each committed write, in commit order.
-    pub(crate) writes: Vec<u32>,
-    /// Blocking flag of each committed write (only blocking writes stall,
-    /// so only they receive WAR edges).
-    pub(crate) write_blocking: Vec<bool>,
-    /// Node of each committed read, in commit order.
-    pub(crate) reads: Vec<u32>,
-}
-
-impl FifoLane {
-    /// The WAR predecessor (a read node) of write `iw` under `depth`, if
-    /// the edge exists for that depth.
-    pub(crate) fn war_pred(&self, iw: usize, depth: usize) -> Option<u32> {
-        if !self.write_blocking[iw] || iw < depth {
-            return None;
-        }
-        self.reads.get(iw - depth).copied()
-    }
-}
-
-/// A recorded query outcome in flat form, re-checked per point.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CompiledConstraint {
-    /// True for write-side queries (Table 2 rows 1–2).
-    pub(crate) write_side: bool,
-    /// FIFO index.
-    pub(crate) fifo: u32,
-    /// 1-based access ordinal.
-    pub(crate) ordinal: u32,
-    /// Node representing the query itself.
-    pub(crate) node: u32,
-    /// Outcome observed during the baseline run.
-    pub(crate) outcome: bool,
-}
-
-/// Errors returned when evaluating points against a [`SweepPlan`].
+/// Errors returned when evaluating points against a [`CompiledPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanError {
     /// The depth vector's length does not match the design's FIFO count.
@@ -99,7 +48,7 @@ pub enum PlanError {
         /// Index of the FIFO with the zero depth.
         fifo: usize,
     },
-    /// A zero search bound was passed to `SweepPlan::min_depths`; FIFO
+    /// A zero search bound was passed to `CompiledPlan::min_depths`; FIFO
     /// depths start at 1, so there is nothing to search.
     ZeroBound,
 }
@@ -138,48 +87,8 @@ impl From<PlanError> for OmniError {
     }
 }
 
-/// A baseline run compiled for repeated FIFO-depth evaluation.
-///
-/// See the [module docs](self) for the design; see
-/// [`SweepPlan::compile`] / [`SweepPlan::evaluator`] /
-/// [`SweepPlan::evaluate_batch`] for the entry points. Evaluation answers
-/// are bit-identical to [`IncrementalState::try_with_depths`] — same
-/// latencies, same first-violated-constraint indices — just without the
-/// per-point overlay allocation and graph rebuild.
-#[derive(Debug)]
-pub struct SweepPlan {
-    /// The frozen baseline graph (bases + successor lists).
-    pub(crate) fwd: CsrGraph,
-    /// Its transpose, for recomputing one node from its predecessors.
-    pub(crate) rev: CsrGraph,
-    /// Topological order valid for the base edges plus any WAR overlay
-    /// with all depths ≥ 1.
-    pub(crate) topo: Vec<u32>,
-    /// Node → position in `topo`.
-    pub(crate) topo_rank: Vec<u32>,
-    /// Per-FIFO access lanes.
-    pub(crate) lanes: Vec<FifoLane>,
-    /// Node → `(fifo, read index)` when the node is a committed read.
-    war_read: Vec<(u32, u32)>,
-    /// Node → `(fifo, write index)` when the node is a committed
-    /// **blocking** write.
-    pub(crate) war_write: Vec<(u32, u32)>,
-    /// Flat constraint table, in the baseline's recording order.
-    pub(crate) constraints: Vec<CompiledConstraint>,
-    /// End node of every task that finished.
-    pub(crate) end_nodes: Vec<u32>,
-    /// FIFO depths of the baseline run.
-    pub(crate) original_depths: Vec<usize>,
-    /// Per-FIFO minimum depth the cached topological order supports. For
-    /// single-rate pipelines this is 1 everywhere; multi-rate reconvergence
-    /// can make the depth-1 overlay genuinely cyclic (the design would
-    /// deadlock at depth 1), in which case the skeleton is relaxed and
-    /// points probing below this bound take the allocating slow path.
-    pub(crate) supported_min_depth: Vec<usize>,
-}
-
-impl SweepPlan {
-    /// Compiles a baseline run into a frozen sweep plan.
+impl CompiledPlan {
+    /// Compiles a baseline run into its bytecode program.
     ///
     /// # Errors
     ///
@@ -187,7 +96,7 @@ impl SweepPlan {
     /// depth-parameterized WAR overlay exists (callers should fall back to
     /// [`IncrementalState::try_with_depths`]; well-formed runs of the
     /// engine always compile).
-    pub fn compile(state: &IncrementalState) -> Result<SweepPlan, CycleError> {
+    pub fn compile(state: &IncrementalState) -> Result<CompiledPlan, CycleError> {
         let n = state.graph.len();
         let mut builder = CsrGraphBuilder::new();
         for i in 0..n {
@@ -199,17 +108,23 @@ impl SweepPlan {
         let fwd = builder.build();
         let rev = fwd.transpose();
 
-        let lanes: Vec<FifoLane> = state
+        // Per-FIFO access lanes in commit order, in node space until the
+        // register order below exists.
+        let mut lanes: Vec<VmLane> = state
             .fifo_write_nodes
             .iter()
             .zip(&state.fifo_write_blocking)
             .zip(&state.fifo_read_nodes)
-            .map(|((writes, blocking), reads)| FifoLane {
+            .map(|((writes, blocking), reads)| VmLane {
                 writes: writes.iter().map(|n| n.0).collect(),
                 write_blocking: blocking.clone(),
                 reads: reads.iter().map(|n| n.0).collect(),
             })
             .collect();
+        assert!(
+            (n as u64) < NONE as u64 && (lanes.len() as u64) < NONE as u64,
+            "plan size exceeds the bytecode register space"
+        );
 
         // Ordering skeleton: one order that dominates every overlay with
         // depths ≥ `supported_min_depth`. Chaining each FIFO's reads in
@@ -223,7 +138,7 @@ impl SweepPlan {
         // which happens exactly when a depth-m assignment deadlocks, e.g.
         // multi-rate reconvergent pipelines at depth 1 — the anchors are
         // relaxed one depth at a time until an order exists; points below
-        // the supported bound are answered by the evaluator's slow path.
+        // the supported bound are answered by the VM's slow path.
         let build_skeleton = |bounds: &[usize]| {
             let mut skeleton: Vec<Edge> = Vec::new();
             for (f, lane) in lanes.iter().enumerate() {
@@ -245,9 +160,9 @@ impl SweepPlan {
             skeleton
         };
         let mut supported_min_depth = vec![1usize; lanes.len()];
-        let mut topo: Vec<u32> = loop {
+        let mut topo: Vec<NodeId> = loop {
             match fwd.topo_order_with(build_skeleton(&supported_min_depth).iter().copied()) {
-                Ok(order) => break order.into_iter().map(|n| n.0).collect(),
+                Ok(order) => break order,
                 Err(e) => {
                     let mut relaxed = false;
                     for (f, lane) in lanes.iter().enumerate() {
@@ -276,634 +191,131 @@ impl SweepPlan {
                 trial[f] = 1;
                 if let Ok(order) = fwd.topo_order_with(build_skeleton(&trial).iter().copied()) {
                     supported_min_depth = trial;
-                    topo = order.into_iter().map(|n| n.0).collect();
-                }
-            }
-        }
-        let mut topo_rank = vec![0u32; n];
-        for (rank, &node) in topo.iter().enumerate() {
-            topo_rank[node as usize] = rank as u32;
-        }
-
-        let mut war_read = vec![(NONE, NONE); n];
-        let mut war_write = vec![(NONE, NONE); n];
-        for (f, lane) in lanes.iter().enumerate() {
-            for (j, &read) in lane.reads.iter().enumerate() {
-                war_read[read as usize] = (f as u32, j as u32);
-            }
-            for (iw, &write) in lane.writes.iter().enumerate() {
-                if lane.write_blocking[iw] {
-                    war_write[write as usize] = (f as u32, iw as u32);
+                    topo = order;
                 }
             }
         }
 
+        // Lowering: register `r` is the node at topological rank `r`, so
+        // every register depends only on lower ones. Each register's
+        // incoming edges become its `RELAX` run; its outgoing edges stay as
+        // CSR rows for delta propagation and the slow path's Kahn pass.
+        let mut reg_of = vec![0u32; n];
+        for (rank, node) in topo.iter().enumerate() {
+            reg_of[node.index()] = rank as u32;
+        }
+        let mut base = Vec::with_capacity(n);
+        let mut ops = Vec::new();
+        let mut group_start = Vec::with_capacity(n + 1);
+        let mut fwd_row = Vec::with_capacity(n + 1);
+        let mut fwd_col = Vec::new();
+        let mut fwd_weight = Vec::new();
+        for &node in &topo {
+            base.push(fwd.base(node));
+            group_start.push(ops.len() as u32);
+            for (pred, weight) in rev.successors(node) {
+                ops.push(Op {
+                    a: reg_of[pred.index()],
+                    b: weight,
+                });
+            }
+            fwd_row.push(fwd_col.len() as u32);
+            for (succ, weight) in fwd.successors(node) {
+                fwd_col.push(reg_of[succ.index()]);
+                fwd_weight.push(weight);
+            }
+        }
+        group_start.push(ops.len() as u32);
+        fwd_row.push(fwd_col.len() as u32);
+
+        for lane in &mut lanes {
+            for node in lane.writes.iter_mut().chain(lane.reads.iter_mut()) {
+                *node = reg_of[*node as usize];
+            }
+        }
         let constraints = state
             .constraints
             .iter()
-            .map(|c| CompiledConstraint {
+            .map(|c| VmConstraint {
                 write_side: c.kind.is_write_side(),
                 fifo: c.fifo.index() as u32,
                 ordinal: c.ordinal as u32,
-                node: c.node.0,
+                reg: reg_of[c.node.index()],
                 outcome: c.outcome,
             })
             .collect();
+        let end_regs = state
+            .end_nodes
+            .iter()
+            .flatten()
+            .map(|node| reg_of[node.index()])
+            .collect();
 
-        Ok(SweepPlan {
-            fwd,
-            rev,
-            topo,
-            topo_rank,
+        Ok(CompiledPlan::assemble(
+            n as u32,
+            base,
+            ops,
+            group_start,
+            fwd_row,
+            fwd_col,
+            fwd_weight,
             lanes,
-            war_read,
-            war_write,
             constraints,
-            end_nodes: state.end_nodes.iter().flatten().map(|n| n.0).collect(),
-            original_depths: state.original_depths.clone(),
+            end_regs,
+            state.original_depths.clone(),
             supported_min_depth,
-        })
+        ))
     }
 
     /// Compiles a plan from a [`CompiledSim`] session artifact, if it is
     /// the OmniSim engine's (see `Capabilities::compiled_dse`). This is the
     /// canonical way to upgrade a compile-once session into the batch DSE
-    /// engine: the artifact's frozen
-    /// [`IncrementalState`](omnisim::IncrementalState) is compiled directly,
-    /// no type-erased extras involved.
-    pub fn from_compiled(compiled: &dyn CompiledSim) -> Option<Result<SweepPlan, CycleError>> {
+    /// engine: the artifact's frozen [`IncrementalState`] is compiled
+    /// directly, no type-erased extras involved.
+    pub fn from_compiled(compiled: &dyn CompiledSim) -> Option<Result<CompiledPlan, CycleError>> {
         compiled
             .as_any()
             .downcast_ref::<CompiledOmni>()
-            .map(|omni| SweepPlan::compile(omni.state()))
+            .map(|omni| CompiledPlan::compile(omni.state()))
     }
 
-    /// Lowers the frozen plan into a register-allocated bytecode program —
-    /// see [`crate::bytecode::CompiledPlan`]. The lowering is total: every
-    /// compiled plan has a bytecode form, and the program answers every
-    /// depth vector bit-identically to [`SweepPlan::evaluator`], an order
-    /// of magnitude faster.
-    pub fn compile_bytecode(&self) -> crate::bytecode::CompiledPlan {
-        crate::bytecode::CompiledPlan::lower(self)
-    }
-
-    /// Number of FIFOs the plan was compiled for.
-    pub fn fifo_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Number of nodes in the frozen graph.
-    pub fn node_count(&self) -> usize {
-        self.fwd.len()
-    }
-
-    /// Number of edges in the frozen graph (excluding the WAR overlay).
-    pub fn edge_count(&self) -> usize {
-        self.fwd.edge_count()
-    }
-
-    /// Number of recorded constraints re-checked per point.
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// FIFO depths of the baseline run the plan was compiled from.
-    pub fn original_depths(&self) -> &[usize] {
-        &self.original_depths
-    }
-
-    /// Creates a fresh evaluator with its own reusable scratch buffers.
-    pub fn evaluator(&self) -> PlanEvaluator<'_> {
-        PlanEvaluator {
-            plan: self,
-            time: Vec::with_capacity(self.fwd.len()),
-            depths: Vec::new(),
-            heap: BinaryHeap::new(),
-            queued: vec![false; self.fwd.len()],
-        }
-    }
-
-    /// The first FIFO whose depth is infeasible for the baseline's access
-    /// counts — replicates `IncrementalState::first_infeasible_fifo` so the
-    /// compiled path returns bit-identical outcomes.
-    fn first_infeasible_fifo(&self, depths: &[usize]) -> Option<usize> {
-        depths.iter().enumerate().position(|(f, &depth)| {
-            let lane = &self.lanes[f];
-            let (writes, reads) = (lane.writes.len(), lane.reads.len());
-            writes > depth + reads
-                && lane.write_blocking[depth + reads..writes]
-                    .iter()
-                    .any(|&blocking| blocking)
-        })
-    }
-
-    /// Validates one depth vector against the plan.
-    fn validate(&self, depths: &[usize]) -> Result<(), PlanError> {
-        if depths.len() != self.lanes.len() {
-            return Err(PlanError::DepthMismatch {
-                expected: self.lanes.len(),
-                got: depths.len(),
-            });
-        }
-        if let Some(fifo) = depths.iter().position(|&d| d == 0) {
-            return Err(PlanError::ZeroDepth { fifo });
-        }
-        Ok(())
-    }
-
-    /// Estimated-work cutoff (points × plan nodes) below which
-    /// [`SweepPlan::evaluate_batch`]`(…, parallel = true)` solves the batch
-    /// serially anyway. Parallel chunking has two fixed costs — scoped
-    /// thread spawn/join, and one cold full relaxation per chunk before its
-    /// delta evaluations — that exceed the whole serial solve on
-    /// paper-sized batches (`BENCH_dse.json` measured 4.5M parallel vs
-    /// 5.4M serial points/sec on a 1000-point grid before this cutoff
-    /// existed). Break-even on a ~620-node plan sits near 2k points, i.e.
-    /// ~1.2M node-points; the cutoff leaves margin above it.
-    pub(crate) const PARALLEL_WORK_CUTOFF: usize = 2_000_000;
-
-    /// Worker count for an auto-parallel batch: serial below the
-    /// estimated-work cutoff, one worker per core above it.
-    fn auto_workers(&self, points: usize) -> usize {
-        if points.saturating_mul(self.node_count()) < Self::PARALLEL_WORK_CUTOFF {
-            1
-        } else {
-            pool::default_workers()
-        }
-    }
-
-    /// Evaluates every point, in order, chunking the list across scoped
-    /// worker threads when `parallel` is set (chunks stay contiguous so
-    /// delta evaluation keeps its locality within each chunk). Points may
-    /// be owned vectors or borrowed slices — nothing is copied.
-    ///
-    /// `parallel` uses one worker per core, except that batches whose
-    /// estimated work (points × plan nodes) falls below
-    /// [`SweepPlan::PARALLEL_WORK_CUTOFF`] stay serial — spawning threads
-    /// and paying one cold full relaxation per chunk is slower than just
-    /// solving a small batch on the calling thread. Use
-    /// [`SweepPlan::evaluate_batch_workers`] to pin an explicit count
-    /// (explicit counts are honored unconditionally).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if any point has the wrong arity or contains a
-    /// zero depth; no evaluation happens in that case.
-    pub fn evaluate_batch<P>(
-        &self,
-        points: &[P],
-        parallel: bool,
-    ) -> Result<Vec<IncrementalOutcome>, PlanError>
-    where
-        P: AsRef<[usize]> + Sync,
-    {
-        let workers = if parallel {
-            self.auto_workers(points.len())
-        } else {
-            1
-        };
-        self.evaluate_batch_workers(points, workers)
-    }
-
-    /// [`SweepPlan::evaluate_batch`] with an explicit worker count (clamped
-    /// to at least one; one worker solves the batch on the calling thread).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if any point has the wrong arity or contains a
-    /// zero depth; no evaluation happens in that case.
-    pub fn evaluate_batch_workers<P>(
-        &self,
-        points: &[P],
-        workers: usize,
-    ) -> Result<Vec<IncrementalOutcome>, PlanError>
-    where
-        P: AsRef<[usize]> + Sync,
-    {
-        for point in points {
-            self.validate(point.as_ref())?;
-        }
-        if points.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = workers.max(1).min(points.len());
-        let chunk_size = points.len().div_ceil(workers);
-        let chunks: Vec<&[P]> = points.chunks(chunk_size).collect();
-        let per_chunk = pool::parallel_map(&chunks, workers, |chunk| {
-            let mut eval = self.evaluator();
-            chunk
-                .iter()
-                .map(|p| eval.evaluate_validated(p.as_ref()))
-                .collect::<Vec<IncrementalOutcome>>()
-        });
-        Ok(per_chunk.into_iter().flatten().collect())
-    }
-}
-
-/// Reusable per-thread evaluation state for one [`SweepPlan`].
-///
-/// The first [`PlanEvaluator::evaluate`] call runs a full levelized
-/// relaxation; subsequent calls recompute only nodes downstream of FIFOs
-/// whose depth changed since the previous point.
-#[derive(Debug)]
-pub struct PlanEvaluator<'p> {
-    plan: &'p SweepPlan,
-    /// Longest-path time of every node under `depths` (valid once
-    /// `depths` is non-empty).
-    time: Vec<u64>,
-    /// Depth vector `time` currently reflects; empty before the first
-    /// evaluation.
-    depths: Vec<usize>,
-    /// Worklist for delta evaluation, ordered by topological rank.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Deduplication flags for `heap`.
-    queued: Vec<bool>,
-}
-
-impl PlanEvaluator<'_> {
-    /// The plan this evaluator runs against.
-    pub fn plan(&self) -> &SweepPlan {
-        self.plan
-    }
-
-    /// Evaluates one depth vector: recomputes node times (fully on first
-    /// use, incrementally afterwards), re-checks every recorded constraint
-    /// and reports the latency, exactly as
-    /// [`IncrementalState::try_with_depths`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] for wrong-arity or zero-depth vectors.
-    pub fn evaluate(&mut self, depths: &[usize]) -> Result<IncrementalOutcome, PlanError> {
-        self.plan.validate(depths)?;
-        Ok(self.evaluate_validated(depths))
-    }
-
-    /// Evaluation core; `depths` must already be validated.
-    fn evaluate_validated(&mut self, depths: &[usize]) -> IncrementalOutcome {
-        // Infeasible depths (a committed blocking write with no freeing
-        // read) are rejected before touching the time buffer, exactly as
-        // `try_with_depths` rejects them before re-finalizing; the buffer
-        // keeps reflecting `self.depths` for the next delta evaluation.
-        if let Some(fifo) = self.plan.first_infeasible_fifo(depths) {
-            return IncrementalOutcome::DepthInfeasible { fifo };
-        }
-        // Points below the cached order's supported bound may introduce WAR
-        // edges that go backwards in that order (they may even be cyclic,
-        // i.e. deadlock); they take the allocating slow path, which derives
-        // its own order per point.
-        if depths
-            .iter()
-            .zip(&self.plan.supported_min_depth)
-            .any(|(&d, &m)| d < m)
-        {
-            return self.evaluate_slow(depths);
-        }
-        if self.depths.is_empty() {
-            self.full_relaxation(depths);
-        } else if self.depths != depths {
-            self.delta_update(depths);
-        }
-        self.depths.clear();
-        self.depths.extend_from_slice(depths);
-        self.verdict()
-    }
-
-    /// Constraint re-check plus latency over the current time buffer.
-    fn verdict(&self) -> IncrementalOutcome {
-        for (index, c) in self.plan.constraints.iter().enumerate() {
-            if self.check_constraint(c) != c.outcome {
-                return IncrementalOutcome::ConstraintViolated { constraint: index };
-            }
-        }
-        IncrementalOutcome::Valid {
-            total_cycles: self.latency(),
-        }
-    }
-
-    /// The allocating per-point path for depths below the cached order's
-    /// bound: a fresh Kahn pass over base + overlay edges (reporting
-    /// [`IncrementalOutcome::DepthCyclic`] when none exists, bit-identical
-    /// to `try_with_depths`), then a relaxation in that order. The time
-    /// buffer it leaves behind is exact, so later fast-path points can
-    /// still delta-update from it.
-    fn evaluate_slow(&mut self, depths: &[usize]) -> IncrementalOutcome {
-        let plan = self.plan;
-        let n = plan.fwd.len();
-        let mut overlay: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (f, lane) in plan.lanes.iter().enumerate() {
-            let depth = depths[f];
-            for iw in depth..lane.writes.len() {
-                if !lane.write_blocking[iw] {
-                    continue;
-                }
-                if let Some(&read) = lane.reads.get(iw - depth) {
-                    overlay[read as usize].push(lane.writes[iw]);
-                }
-            }
-        }
-        let mut indegree = vec![0u32; n];
-        for (u, targets) in overlay.iter().enumerate() {
-            for (v, _) in plan.fwd.successors(NodeId(u as u32)) {
-                indegree[v.index()] += 1;
-            }
-            for &v in targets {
-                indegree[v as usize] += 1;
-            }
-        }
-        let mut ready: Vec<u32> = (0..n as u32)
-            .filter(|&u| indegree[u as usize] == 0)
-            .collect();
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        while let Some(u) = ready.pop() {
-            order.push(u);
-            for (v, _) in plan.fwd.successors(NodeId(u)) {
-                indegree[v.index()] -= 1;
-                if indegree[v.index()] == 0 {
-                    ready.push(v.0);
-                }
-            }
-            for &v in &overlay[u as usize] {
-                indegree[v as usize] -= 1;
-                if indegree[v as usize] == 0 {
-                    ready.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            return IncrementalOutcome::DepthCyclic;
-        }
-        self.time.clear();
-        self.time.extend_from_slice(plan.fwd.base_times());
-        for &u in &order {
-            let tu = self.time[u as usize];
-            for (v, w) in plan.fwd.successors(NodeId(u)) {
-                let cand = tu.saturating_add_signed(w);
-                if cand > self.time[v.index()] {
-                    self.time[v.index()] = cand;
-                }
-            }
-            for &v in &overlay[u as usize] {
-                let cand = tu.saturating_add(1);
-                if cand > self.time[v as usize] {
-                    self.time[v as usize] = cand;
-                }
-            }
-        }
-        self.depths.clear();
-        self.depths.extend_from_slice(depths);
-        self.verdict()
-    }
-
-    /// One full pass over the cached topological order, relaxing CSR
-    /// successors plus the WAR edge each read implies under `depths`.
-    fn full_relaxation(&mut self, depths: &[usize]) {
-        let plan = self.plan;
-        self.time.clear();
-        self.time.extend_from_slice(plan.fwd.base_times());
-        for &u in &plan.topo {
-            let tu = self.time[u as usize];
-            for (v, w) in plan.fwd.successors(NodeId(u)) {
-                let cand = tu.saturating_add_signed(w);
-                if cand > self.time[v.index()] {
-                    self.time[v.index()] = cand;
-                }
-            }
-            if let Some(target) = war_successor(plan, depths, u) {
-                let cand = tu.saturating_add(1);
-                if cand > self.time[target as usize] {
-                    self.time[target as usize] = cand;
-                }
-            }
-        }
-    }
-
-    /// Recomputes only nodes downstream of FIFOs whose depth changed,
-    /// using a topo-rank-ordered worklist. Propagation stops at any node
-    /// whose recomputed time is unchanged.
-    fn delta_update(&mut self, depths: &[usize]) {
-        let plan = self.plan;
-        // Seed with every blocking write whose WAR predecessor differs
-        // between the old and new depth of a changed FIFO. Removed edges
-        // can *lower* times, so seeds are recomputed from scratch off the
-        // transpose rather than merely relaxed.
-        for (f, lane) in plan.lanes.iter().enumerate() {
-            let (old, new) = (self.depths[f], depths[f]);
-            if old == new {
-                continue;
-            }
-            for iw in old.min(new)..lane.writes.len() {
-                if lane.war_pred(iw, old) != lane.war_pred(iw, new) {
-                    let node = lane.writes[iw];
-                    if !self.queued[node as usize] {
-                        self.queued[node as usize] = true;
-                        self.heap
-                            .push(Reverse((plan.topo_rank[node as usize], node)));
-                    }
-                }
-            }
-        }
-
-        while let Some(Reverse((_, u))) = self.heap.pop() {
-            self.queued[u as usize] = false;
-            let mut t = plan.rev.base(NodeId(u));
-            for (p, w) in plan.rev.successors(NodeId(u)) {
-                let cand = self.time[p.index()].saturating_add_signed(w);
-                if cand > t {
-                    t = cand;
-                }
-            }
-            let (f, iw) = plan.war_write[u as usize];
-            if f != NONE {
-                if let Some(read) = plan.lanes[f as usize].war_pred(iw as usize, depths[f as usize])
-                {
-                    let cand = self.time[read as usize].saturating_add(1);
-                    if cand > t {
-                        t = cand;
-                    }
-                }
-            }
-            if t == self.time[u as usize] {
-                continue;
-            }
-            self.time[u as usize] = t;
-            for (v, _) in plan.fwd.successors(NodeId(u)) {
-                if !self.queued[v.index()] {
-                    self.queued[v.index()] = true;
-                    self.heap.push(Reverse((plan.topo_rank[v.index()], v.0)));
-                }
-            }
-            if let Some(target) = war_successor(plan, depths, u) {
-                if !self.queued[target as usize] {
-                    self.queued[target as usize] = true;
-                    self.heap
-                        .push(Reverse((plan.topo_rank[target as usize], target)));
-                }
-            }
-        }
-    }
-
-    /// Replicates `IncrementalState::evaluate_constraint` against the
-    /// plan's time buffer.
-    fn check_constraint(&self, c: &CompiledConstraint) -> bool {
-        let lane = &self.plan.lanes[c.fifo as usize];
-        let query_time = self.time[c.node as usize];
-        let ordinal = c.ordinal as usize;
-        if c.write_side {
-            let depth = self.depths[c.fifo as usize];
-            if ordinal <= depth {
-                return true;
-            }
-            match lane.reads.get(ordinal - depth - 1) {
-                Some(&read) => self.time[read as usize] < query_time,
-                None => false,
-            }
-        } else {
-            match lane.writes.get(ordinal - 1) {
-                Some(&write) => self.time[write as usize] < query_time,
-                None => false,
-            }
-        }
-    }
-
-    /// Replicates `IncrementalState::latency_from_times`.
-    fn latency(&self) -> u64 {
-        let end = self
-            .plan
-            .end_nodes
-            .iter()
-            .map(|&n| self.time[n as usize])
-            .max();
-        match end {
-            Some(t) => t + 1,
-            None => self.time.iter().copied().max().unwrap_or(0),
-        }
-    }
-}
-
-/// The node the WAR edge from node `u` targets under `depths`, if `u` is a
-/// committed read whose paired blocking write exists.
-fn war_successor(plan: &SweepPlan, depths: &[usize], u: u32) -> Option<u32> {
-    let (f, j) = plan.war_read[u as usize];
-    if f == NONE {
-        return None;
-    }
-    let lane = &plan.lanes[f as usize];
-    let iw = (j as usize).checked_add(depths[f as usize])?;
-    if iw < lane.writes.len() && lane.write_blocking[iw] {
-        Some(lane.writes[iw])
-    } else {
-        None
+    /// A copy of this program, for callers written against the former
+    /// two-step compile-then-lower API ([`SweepPlan`]).
+    pub fn compile_bytecode(&self) -> CompiledPlan {
+        self.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omnisim::test_fixtures::{nb_drop_counter, producer_consumer};
+    use omnisim::test_fixtures::producer_consumer;
     use omnisim::{OmniBackend, OmniSimulator};
     use omnisim_api::{SimReport, Simulator};
-
-    /// Deterministic xorshift64* so the randomized grids are reproducible.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        }
-
-        fn depth(&mut self, max: usize) -> usize {
-            1 + (self.next() as usize) % max
-        }
-    }
-
-    #[test]
-    fn plan_matches_try_with_depths_on_randomized_points() {
-        for design in [nb_drop_counter(48, 2, 3), producer_consumer(48, 3, 2)] {
-            let baseline = OmniSimulator::new(&design).run().unwrap();
-            let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-            let mut eval = plan.evaluator();
-            let mut rng = Rng(0x5eed_cafe_f00d_0001);
-            for _ in 0..60 {
-                let depths: Vec<usize> = (0..plan.fifo_count()).map(|_| rng.depth(130)).collect();
-                let expected = baseline.incremental.try_with_depths(&depths).unwrap();
-                let got = eval.evaluate(&depths).unwrap();
-                assert_eq!(got, expected, "depths {depths:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn delta_evaluation_matches_a_fresh_full_relaxation() {
-        // Walk one evaluator through a depth sequence with small deltas and
-        // check every answer against a brand-new evaluator (which must do a
-        // full relaxation) — this isolates the incremental update path.
-        let design = nb_drop_counter(40, 2, 3);
-        let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        let mut warm = plan.evaluator();
-        let mut rng = Rng(0xdead_beef_0000_0002);
-        let mut depths = vec![2usize];
-        for step in 0..50 {
-            // Mostly small moves, occasionally a jump.
-            depths[0] = if step % 7 == 0 {
-                rng.depth(128)
-            } else {
-                (depths[0] + rng.depth(3)).saturating_sub(1).max(1)
-            };
-            let warm_answer = warm.evaluate(&depths).unwrap();
-            let cold_answer = plan.evaluator().evaluate(&depths).unwrap();
-            assert_eq!(warm_answer, cold_answer, "step {step} depths {depths:?}");
-        }
-    }
-
-    #[test]
-    fn batch_parallel_sequential_and_manual_agree() {
-        let design = nb_drop_counter(32, 1, 4);
-        let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        let points: Vec<Vec<usize>> = (1..=64).map(|d| vec![d]).collect();
-        let sequential = plan.evaluate_batch(&points, false).unwrap();
-        let parallel = plan.evaluate_batch(&points, true).unwrap();
-        assert_eq!(sequential, parallel);
-        for (point, outcome) in points.iter().zip(&sequential) {
-            let manual = baseline.incremental.try_with_depths(point).unwrap();
-            assert_eq!(*outcome, manual, "depths {point:?}");
-        }
-    }
 
     #[test]
     fn validation_errors_are_reported_before_any_work() {
         let design = producer_consumer(8, 2, 1);
         let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        assert_eq!(
-            plan.evaluator().evaluate(&[1, 2]).unwrap_err(),
-            PlanError::DepthMismatch {
-                expected: 1,
-                got: 2
-            }
-        );
-        assert_eq!(
-            plan.evaluator().evaluate(&[0]).unwrap_err(),
-            PlanError::ZeroDepth { fifo: 0 }
-        );
-        assert_eq!(
-            plan.evaluate_batch(&[vec![1], vec![0]], true).unwrap_err(),
-            PlanError::ZeroDepth { fifo: 0 }
-        );
-        let omni: OmniError = PlanError::DepthMismatch {
+        let program = CompiledPlan::compile(&baseline.incremental).unwrap();
+        let mismatch = PlanError::DepthMismatch {
             expected: 1,
             got: 2,
-        }
-        .into();
+        };
+        assert_eq!(program.vm().evaluate(&[1, 2]).unwrap_err(), mismatch);
+        assert_eq!(program.evaluate(&[1, 2]).unwrap_err(), mismatch);
         assert_eq!(
-            omni,
+            program.evaluate(&[0]).unwrap_err(),
+            PlanError::ZeroDepth { fifo: 0 }
+        );
+        assert_eq!(
+            program
+                .evaluate_batch(&[vec![1], vec![0]], true)
+                .unwrap_err(),
+            PlanError::ZeroDepth { fifo: 0 }
+        );
+        assert_eq!(
+            OmniError::from(mismatch),
             OmniError::DepthMismatch {
                 expected: 1,
                 got: 2
@@ -920,35 +332,36 @@ mod tests {
             "the omnisim backend advertises a plan-compilable session"
         );
         let compiled = backend.compile(&design).unwrap();
-        let plan = SweepPlan::from_compiled(compiled.as_ref())
+        let plan = CompiledPlan::from_compiled(compiled.as_ref())
             .expect("the omnisim artifact downcasts")
             .expect("plan compiles");
         assert_eq!(plan.fifo_count(), 1);
         assert_eq!(plan.original_depths(), &[2]);
-        assert!(plan.node_count() > 0);
-        assert!(plan.edge_count() > 0);
-        assert!(plan.constraint_count() <= plan.node_count());
+        assert!(plan.register_count() > 0);
+        assert!(plan.op_count() > 0);
+        assert!(plan.constraint_count() <= plan.register_count());
 
         // Non-omnisim artifacts do not downcast.
         let rtl = omnisim_rtlsim::RtlBackend::default()
             .compile(&design)
             .unwrap();
-        assert!(SweepPlan::from_compiled(rtl.as_ref()).is_none());
+        assert!(CompiledPlan::from_compiled(rtl.as_ref()).is_none());
     }
 
     /// A one-shot report's extras payload (`IncrementalState`) and the
     /// session artifact built around the *same* baseline run must compile
-    /// to the identical plan (`SweepPlan::from_report` is gone; extras
-    /// consumers call [`SweepPlan::compile`] on the state directly).
+    /// to the identical program (extras consumers call
+    /// [`CompiledPlan::compile`] on the state directly).
     #[test]
     fn extras_state_compiles_identical_plan_to_session_artifact() {
-        use omnisim::{CompiledOmni, OmniOutcome, OmniReport, SimConfig, SimStats};
+        use omnisim::test_fixtures::nb_drop_counter;
+        use omnisim::{OmniOutcome, OmniReport, SimConfig, SimStats};
 
         let design = nb_drop_counter(32, 2, 3);
         let native = OmniSimulator::new(&design).run().unwrap();
         assert!(native.outcome.is_completed());
         let mut report: SimReport = native.into();
-        let via_report = SweepPlan::compile(
+        let via_report = CompiledPlan::compile(
             report
                 .extras
                 .get::<IncrementalState>()
@@ -968,23 +381,10 @@ mod tests {
             incremental,
         };
         let session = CompiledOmni::from_baseline(&design, SimConfig::default(), baseline);
-        let via_session = SweepPlan::from_compiled(&session)
+        let via_session = CompiledPlan::from_compiled(&session)
             .expect("artifact downcasts")
             .expect("plan compiles");
 
-        assert_eq!(via_report.fifo_count(), via_session.fifo_count());
-        assert_eq!(via_report.node_count(), via_session.node_count());
-        assert_eq!(via_report.edge_count(), via_session.edge_count());
-        assert_eq!(
-            via_report.constraint_count(),
-            via_session.constraint_count()
-        );
-        assert_eq!(via_report.original_depths(), via_session.original_depths());
-        // …and they answer every probe bit-identically.
-        let points: Vec<Vec<usize>> = (1..=32).map(|d| vec![d]).collect();
-        assert_eq!(
-            via_report.evaluate_batch(&points, false).unwrap(),
-            via_session.evaluate_batch(&points, false).unwrap()
-        );
+        assert_eq!(via_report, via_session);
     }
 }

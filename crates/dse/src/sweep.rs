@@ -1,9 +1,9 @@
 //! Batch FIFO-depth design-space exploration — the Table 6 workflow as a
-//! first-class API, now backed by the compiled [`SweepPlan`].
+//! first-class API, backed by the compiled [`CompiledPlan`].
 //!
 //! [`Sweep`] runs the design once, compiles the baseline into a
-//! [`SweepPlan`], and answers every candidate depth vector from the frozen
-//! plan (delta evaluation, no per-point allocation) whenever the recorded
+//! [`CompiledPlan`], and answers every candidate depth vector on its VM
+//! (delta evaluation, no per-point allocation) whenever the recorded
 //! constraints still hold (§7.2), transparently falling back to a full
 //! re-simulation of the resized design when they do not. Plan evaluation
 //! and fallback runs are independent, so by default both execute in
@@ -43,7 +43,6 @@
 //! ```
 
 use crate::bytecode::CompiledPlan;
-use crate::plan::SweepPlan;
 use crate::pool;
 use omnisim::{IncrementalOutcome, OmniError, OmniReport, OmniSimulator, SimConfig};
 use omnisim_ir::design::OutputMap;
@@ -57,7 +56,7 @@ type ResimOutcome = Result<(u64, OutputMap), OmniError>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMethod {
     /// Answered from the baseline run's recorded constraints — through the
-    /// compiled plan or the uncompiled incremental path — without
+    /// compiled plan's VM or the uncompiled incremental path — without
     /// re-simulating (microseconds).
     Incremental,
     /// A recorded constraint was violated under the new depths, so the
@@ -98,15 +97,11 @@ pub struct SweepReport {
     /// One answer per requested point, in request order.
     pub points: Vec<SweepPoint>,
     /// The compiled plan the points were answered from, reusable for
-    /// follow-up queries ([`SweepPlan::min_depths`], more batches). `None`
-    /// only when plan compilation failed and the sweep fell back to the
-    /// uncompiled incremental path throughout.
-    pub plan: Option<SweepPlan>,
-    /// The plan lowered to register-allocated bytecode — the program the
-    /// points were actually executed through. Reusable for follow-up
-    /// batches and persistable via [`CompiledPlan::encode`]; present
-    /// exactly when [`SweepReport::plan`] is.
-    pub bytecode: Option<CompiledPlan>,
+    /// follow-up queries ([`CompiledPlan::min_depths`], more batches) and
+    /// persistable via [`CompiledPlan::encode`]. `None` only when plan
+    /// compilation failed and the sweep fell back to the uncompiled
+    /// incremental path throughout.
+    pub plan: Option<CompiledPlan>,
 }
 
 impl SweepReport {
@@ -214,7 +209,7 @@ impl<'d> Sweep<'d> {
     }
 
     /// Runs the baseline simulation and answers every requested point:
-    /// through the compiled [`SweepPlan`] where possible, through the
+    /// through the compiled [`CompiledPlan`] where possible, through the
     /// uncompiled incremental path for depth-0 points (or if plan
     /// compilation fails), and through parallel full re-simulation wherever
     /// a recorded constraint is violated.
@@ -256,9 +251,7 @@ impl<'d> Sweep<'d> {
         let baseline = &baseline_report.incremental;
         // Plan compilation fails only when no depth-independent topological
         // order exists; the uncompiled path still answers every point.
-        let plan = SweepPlan::compile(baseline).ok();
-        // Lower the plan into bytecode once; the VM answers the batch.
-        let bytecode = plan.as_ref().map(SweepPlan::compile_bytecode);
+        let plan = CompiledPlan::compile(baseline).ok();
 
         let mut answers: Vec<Option<SweepPoint>> = (0..points.len()).map(|_| None).collect();
         let mut fallback: Vec<(usize, Vec<usize>)> = Vec::new();
@@ -293,7 +286,7 @@ impl<'d> Sweep<'d> {
             }
         }
 
-        if let Some(program) = &bytecode {
+        if let Some(program) = &plan {
             let batch: Vec<&[usize]> = compiled
                 .iter()
                 .map(|(_, depths)| depths.as_slice())
@@ -351,7 +344,6 @@ impl<'d> Sweep<'d> {
                 .map(|point| point.expect("every sweep point answered"))
                 .collect(),
             plan,
-            bytecode,
         })
     }
 }
@@ -564,22 +556,22 @@ mod tests {
         let sweep = Sweep::new(&design).grid(&[&[1, 2, 8]]).run().unwrap();
         let plan = sweep.plan.as_ref().expect("plan compiles for this design");
         assert_eq!(plan.fifo_count(), 1);
-        let outcome = plan.evaluator().evaluate(&[8]).unwrap();
         let expected = sweep
             .points
             .iter()
             .find(|p| p.depths == [8])
             .unwrap()
             .total_cycles;
-        match outcome {
-            IncrementalOutcome::Valid { total_cycles } => {
-                assert_eq!(total_cycles, expected)
+        assert_eq!(
+            plan.evaluate(&[8]).unwrap(),
+            IncrementalOutcome::Valid {
+                total_cycles: expected
             }
-            other => panic!("expected valid, got {other:?}"),
-        }
-        // The lowered program rides on the report too, and answers the
-        // same query identically.
-        let program = sweep.bytecode.as_ref().expect("bytecode rides on plan");
-        assert_eq!(program.evaluate(&[8]).unwrap(), outcome);
+        );
+        // Follow-up queries reuse the same program: a min-depth search
+        // whose target is that latency certifies a depth within the bound.
+        let search = plan.min_depths(expected, 8).unwrap();
+        assert!(search.per_fifo[0].is_some());
+        assert!(search.combined_meets_target());
     }
 }

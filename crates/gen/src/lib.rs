@@ -22,7 +22,7 @@
 //!   Type B/C,
 //! * `csim` must reproduce completed Type A runs and is book-kept (not
 //!   asserted) on its documented failure modes,
-//! * the compiled `SweepPlan`, the uncompiled incremental path and full
+//! * the compiled DSE VM, the uncompiled incremental path and full
 //!   re-simulation must give identical DSE answers on random depth vectors
 //!   — including the `DepthInfeasible`/`DepthCyclic` verdicts multi-rate
 //!   designs produce — and the `min_depths` inverse query's certificate

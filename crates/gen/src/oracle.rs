@@ -14,11 +14,10 @@
 //! * **csim diverges exactly where the paper says it does** — correct on
 //!   Type A, wrong or crashing on most Type B/C designs; the oracle records
 //!   the expected-divergence bookkeeping instead of asserting equality.
-//! * **the DSE tower is self-consistent** — bytecode-VM answers ==
-//!   compiled `SweepPlan` answers == uncompiled `try_with_depths` answers
-//!   on random depth vectors (the VM running a codec-roundtripped
-//!   program), and certified answers == a full re-simulation of the
-//!   resized design.
+//! * **VM == try_with_depths == full re-sim** — the compiled DSE VM
+//!   (running a codec-roundtripped program) answers random depth vectors
+//!   exactly like the uncompiled `try_with_depths`, and certified answers
+//!   equal a full re-simulation of the resized design.
 //!
 //! [`differential_check`] returns a [`DiffReport`]; an empty
 //! [`DiffReport::failures`] means every claim held.
@@ -28,7 +27,7 @@ use omnisim::{CompiledOmni, IncrementalOutcome, OmniSimulator, SimConfig};
 use omnisim_analyze::DeadlockVerdict;
 use omnisim_api::{RunConfig, Simulator};
 use omnisim_csim::CsimBackend;
-use omnisim_dse::{MinDepthsReport, PlanEvaluator, SweepPlan};
+use omnisim_dse::{CompiledPlan, CompiledVm, MinDepthsReport};
 use omnisim_ir::taxonomy::classify;
 use omnisim_ir::{Design, DesignClass};
 use omnisim_lightning::{LightningError, LightningSimulator};
@@ -58,12 +57,6 @@ pub struct DiffConfig {
     /// off by default and enabled by the dedicated tightness suite and the
     /// fuzz CLI's `--min-depths`.
     pub min_depths_resim: bool,
-    /// Lower the plan to register-allocated bytecode and pin the VM's
-    /// answer against the interpreted plan on every DSE depth vector
-    /// (including one codec roundtrip of the program per design). On by
-    /// default — the VM is the serving tier's fast path, so it fuzzes
-    /// wherever the plan does; the fuzz CLI's `--no-bytecode` disables it.
-    pub bytecode: bool,
     /// Run the static analyzer on every design and check its certificates
     /// against the reference outcome: a `CertifiedFree` design must
     /// complete, a `CertifiedDeadlock` design must not, and the static
@@ -90,7 +83,6 @@ impl Default for DiffConfig {
             min_depths: true,
             min_depths_bound: 12,
             min_depths_resim: false,
-            bytecode: true,
             analyze: true,
             rtl_max_cycles: 500_000,
             omni_fuel: 10_000_000,
@@ -373,37 +365,34 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
         ));
     }
 
-    // --- compiled DSE == incremental == full re-simulation ---------------
+    // --- DSE VM == incremental == full re-simulation ----------------------
     let mut dse_points_checked = 0;
     let mut session_runs_checked = 0;
     let mut min_depths_probes = 0;
     if !design.fifos.is_empty() && (cfg.dse_points > 0 || cfg.min_depths) {
-        match SweepPlan::compile(&omni.incremental) {
-            Ok(plan) => {
-                let mut evaluator = plan.evaluator();
-                // The bytecode leg reuses one warm VM across the design's
-                // depth vectors, so the delta/worklist paths fuzz too —
-                // and the program it runs has been through one codec
-                // roundtrip, pinning the persisted form as well.
-                let program = (cfg.bytecode && cfg.dse_points > 0).then(|| {
-                    let lowered = plan.compile_bytecode();
-                    match omnisim_dse::CompiledPlan::decode(&lowered.encode()) {
-                        Ok(decoded) => decoded,
-                        Err(e) => {
-                            failures.push(format!("bytecode program failed to roundtrip: {e}"));
-                            lowered
-                        }
+        match CompiledPlan::compile(&omni.incremental) {
+            Ok(compiled_plan) => {
+                // Every leg runs a program that has been through one codec
+                // roundtrip, pinning the persisted form as well, on one
+                // warm VM across the design's depth vectors, so the
+                // delta/worklist paths fuzz too.
+                let plan = match CompiledPlan::decode(&compiled_plan.encode()) {
+                    Ok(decoded) => decoded,
+                    Err(e) => {
+                        failures.push(format!("bytecode program failed to roundtrip: {e}"));
+                        compiled_plan
                     }
-                });
-                let mut vm = program.as_ref().map(|p| p.vm());
+                };
+                let mut vm = plan.vm();
                 for _ in 0..cfg.dse_points {
                     let depths: Vec<usize> = (0..design.fifos.len())
                         .map(|_| rng.depth(cfg.dse_max_depth))
                         .collect();
-                    let compiled = match evaluator.evaluate(&depths) {
+                    let compiled = match vm.evaluate(&depths) {
                         Ok(o) => o,
                         Err(e) => {
-                            failures.push(format!("plan evaluation failed at {depths:?}: {e}"));
+                            failures
+                                .push(format!("bytecode VM evaluation failed at {depths:?}: {e}"));
                             continue;
                         }
                     };
@@ -417,24 +406,10 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
                     dse_points_checked += 1;
                     if compiled != incremental {
                         failures.push(format!(
-                            "compiled DSE disagrees with try_with_depths at {depths:?}: \
+                            "bytecode VM disagrees with try_with_depths at {depths:?}: \
                              {compiled:?} vs {incremental:?}"
                         ));
                         continue;
-                    }
-                    if let Some(vm) = vm.as_mut() {
-                        match vm.evaluate(&depths) {
-                            Ok(outcome) => {
-                                if outcome != compiled {
-                                    failures.push(format!(
-                                        "bytecode VM disagrees with the interpreted plan at \
-                                         {depths:?}: {outcome:?} vs {compiled:?}"
-                                    ));
-                                }
-                            }
-                            Err(e) => failures
-                                .push(format!("bytecode VM evaluation failed at {depths:?}: {e}")),
-                        }
                     }
                     // Session leg: a compile-once `run()` with these depth
                     // overrides must report the certified latency through
@@ -544,10 +519,9 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
                                     design,
                                     omni_config,
                                     target,
-                                    &plan,
                                     cfg.min_depths_bound,
                                     &md,
-                                    &mut evaluator,
+                                    &mut vm,
                                     &mut failures,
                                 );
                             }
@@ -588,18 +562,17 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
 /// infeasible (which full re-simulation must confirm as a non-completion).
 /// A constraint flip one depth shallower proves nothing either way (validity
 /// is not monotone), so it is skipped.
-#[allow(clippy::too_many_arguments)]
 fn check_min_depths_tightness(
     design: &Design,
     omni_config: SimConfig,
     target: u64,
-    plan: &SweepPlan,
     bound: usize,
     md: &MinDepthsReport,
-    evaluator: &mut PlanEvaluator<'_>,
+    vm: &mut CompiledVm<'_>,
     failures: &mut Vec<String>,
 ) {
-    let anchors: Vec<usize> = plan
+    let anchors: Vec<usize> = vm
+        .plan()
         .original_depths()
         .iter()
         .map(|&d| d.clamp(1, bound))
@@ -625,7 +598,7 @@ fn check_min_depths_tightness(
             continue;
         }
         probe[f] = min - 1;
-        match evaluator.evaluate(&probe) {
+        match vm.evaluate(&probe) {
             Ok(IncrementalOutcome::Valid { total_cycles }) => {
                 if total_cycles <= target {
                     failures.push(format!(

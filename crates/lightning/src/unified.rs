@@ -41,7 +41,7 @@ impl Simulator for LightningBackend {
             produces_timings: true,
             incremental_dse: true,
             // The trace payload answers depth queries but is not an
-            // `IncrementalState`, so it cannot compile into a `SweepPlan`.
+            // `IncrementalState`, so it cannot compile into a `CompiledPlan`.
             compiled_dse: false,
             compiled_run: true,
             serializable_artifact: true,

@@ -26,7 +26,7 @@
 use crate::store::ArtifactStore;
 use omnisim_api::{CompiledSim, RunConfig, RunPath, SimFailure, SimReport, SimTimings, Simulator};
 use omnisim_codec::fnv1a64;
-use omnisim_dse::{pool, CompiledPlan, IncrementalOutcome, SweepPlan};
+use omnisim_dse::{pool, CompiledPlan, IncrementalOutcome};
 use omnisim_ir::wire::encode_design;
 use omnisim_ir::Design;
 use omnisim_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Trace, Tracer};
@@ -497,7 +497,7 @@ impl SimService {
 
     /// The shared artifact for a registered design, if present. Callers can
     /// hold the `Arc` and run against it directly (e.g. to downcast the
-    /// engine's artifact into a DSE `SweepPlan`).
+    /// engine's artifact into a DSE `CompiledPlan`).
     pub fn artifact(&self, key: DesignKey) -> Option<Arc<dyn CompiledSim>> {
         let map = self.artifacts.read().expect("service registry poisoned");
         let entry = map.get(&key)?;
@@ -513,9 +513,8 @@ impl SimService {
     /// program is decoded (a warm start that skips both simulation and
     /// lowering, even across process restarts — a corrupt file falls
     /// through and is replaced); finally the resident session artifact is
-    /// frozen through [`SweepPlan::from_compiled`] and lowered with
-    /// [`SweepPlan::compile_bytecode`], and the fresh encoding is
-    /// persisted best-effort under the store kind `"dse"`.
+    /// compiled through [`CompiledPlan::from_compiled`], and the fresh
+    /// encoding is persisted best-effort under the store kind `"dse"`.
     ///
     /// Two concurrent first resolutions may both lower; programs are
     /// deterministic, so either result is kept.
@@ -561,15 +560,15 @@ impl SimService {
                 format!("no design registered under key {:#018x}", key.raw()),
             ));
         };
-        let Some(plan) = SweepPlan::from_compiled(artifact.as_ref()) else {
+        let Some(program) = CompiledPlan::from_compiled(artifact.as_ref()) else {
             tspan.set_attr("outcome", "unsupported");
             return Err(SimFailure::unsupported(
                 self.backend.name(),
                 "artifact carries no frozen incremental state to lower into a DSE program",
             ));
         };
-        let plan = match plan {
-            Ok(plan) => plan,
+        let program = match program {
+            Ok(program) => Arc::new(program),
             Err(cycle) => {
                 tspan.set_attr("outcome", "rejected");
                 return Err(SimFailure::execution(
@@ -578,7 +577,6 @@ impl SimService {
                 ));
             }
         };
-        let program = Arc::new(plan.compile_bytecode());
         self.metrics.dse_compile.inc();
         if let Some(store) = &self.store {
             // Best-effort, like artifact persistence.

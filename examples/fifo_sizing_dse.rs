@@ -2,12 +2,12 @@
 //! of Fig. 4 Ex. 5 — the workflow behind Table 6 of the paper.
 //!
 //! The batch [`Sweep`] API runs the baseline once, compiles it into a
-//! frozen [`SweepPlan`] (CSR graph + cached topological order + reusable
-//! time buffers), and answers every candidate (depth1, depth2) pair from
-//! the plan with delta evaluation — falling back to a parallel full
-//! re-simulation only where the recorded constraints are violated. The
-//! compiled plan rides on the report, so follow-up queries (here: a
-//! min-depth search) reuse the same baseline for free.
+//! [`CompiledPlan`] (a register-allocated bytecode program), and answers
+//! every candidate (depth1, depth2) pair on its VM with delta evaluation —
+//! falling back to a parallel full re-simulation only where the recorded
+//! constraints are violated. The compiled plan rides on the report, so
+//! follow-up queries (here: a min-depth search) reuse the same baseline
+//! for free.
 //!
 //! Run with: `cargo run --release --example fifo_sizing_dse`
 
@@ -34,9 +34,9 @@ fn main() {
     // re-simulating anything.
     let plan = sweep.plan.as_ref().expect("plan compiled");
     println!(
-        "\ncompiled plan: {} nodes, {} edges, {} constraints",
-        plan.node_count(),
-        plan.edge_count(),
+        "\ncompiled plan: {} registers, {} ops, {} constraints",
+        plan.register_count(),
+        plan.op_count(),
         plan.constraint_count()
     );
     let target = sweep.baseline.total_cycles + sweep.baseline.total_cycles / 100;

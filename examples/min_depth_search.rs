@@ -4,17 +4,17 @@
 //! engineer usually wants the inverse — "what are the *smallest* lane
 //! depths that provably keep the router behaving like the generously-sized
 //! baseline?". This example runs the router once with deep lanes, compiles
-//! the run into a [`SweepPlan`], and lets
-//! [`SweepPlan::min_depths`](omnisim_suite::SweepPlan::min_depths)
+//! the run into a [`CompiledPlan`], and lets
+//! [`CompiledPlan::min_depths`](omnisim_suite::CompiledPlan::min_depths)
 //! binary-search each lane's smallest certified depth — a handful of
-//! microsecond plan evaluations instead of a grid of re-simulations. The
+//! microsecond VM evaluations instead of a grid of re-simulations. The
 //! found depths are then cross-checked with one real re-simulation.
 //!
 //! Run with: `cargo run --release --example min_depth_search`
 
 use omnisim_suite::designs::misc::packet_router;
 use omnisim_suite::omnisim::OmniSimulator;
-use omnisim_suite::SweepPlan;
+use omnisim_suite::CompiledPlan;
 
 fn main() {
     // A burst of 120 packets against generously over-provisioned lanes:
@@ -31,7 +31,7 @@ fn main() {
         baseline.output("routed_slow"),
     );
 
-    let plan = SweepPlan::compile(&baseline.incremental).expect("plan compiles");
+    let plan = CompiledPlan::compile(&baseline.incremental).expect("plan compiles");
     let target = baseline.total_cycles;
     let search = plan.min_depths(target, max_depth).expect("search succeeds");
     println!(

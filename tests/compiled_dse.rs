@@ -1,15 +1,15 @@
 //! Differential suite for the compiled DSE engine: on every Type A/B/C
-//! fixture design, the compiled `SweepPlan` must agree **exactly** with
-//! the uncompiled `IncrementalState::try_with_depths` path (same verdicts,
-//! same latencies, same first-violated-constraint indices) across
-//! randomized depth grids, and both must agree with a full re-simulation
-//! of the resized design wherever an answer is certified.
+//! fixture design, the `CompiledPlan`'s VM must agree **exactly** with the
+//! uncompiled `IncrementalState::try_with_depths` path (same verdicts, same
+//! latencies, same first-violated-constraint indices) across randomized
+//! depth grids, and both must agree with a full re-simulation of the
+//! resized design wherever an answer is certified.
 
 use omnisim_suite::designs::{table4_designs_with_n, typea};
 use omnisim_suite::ir::{Design, DesignClass};
 use omnisim_suite::omnisim::test_fixtures::{nb_drop_counter, producer_consumer};
 use omnisim_suite::omnisim::{IncrementalOutcome, OmniSimulator};
-use omnisim_suite::{all_backends, CompiledPlan, Sweep, SweepPlan};
+use omnisim_suite::{all_backends, CompiledPlan, Sweep};
 
 use omnisim_suite::gen::Rng;
 
@@ -61,16 +61,16 @@ fn compiled_plan_matches_incremental_and_full_resimulation_on_random_grids() {
         let baseline = OmniSimulator::new(&design)
             .run()
             .unwrap_or_else(|e| panic!("{name}: baseline failed: {e}"));
-        let plan = SweepPlan::compile(&baseline.incremental)
+        let plan = CompiledPlan::compile(&baseline.incremental)
             .unwrap_or_else(|e| panic!("{name}: plan must compile: {e}"));
         assert_eq!(plan.fifo_count(), design.fifos.len(), "{name}");
-        let mut evaluator = plan.evaluator();
+        let mut vm = plan.vm();
 
         for round in 0..12 {
             let depths: Vec<usize> = (0..plan.fifo_count()).map(|_| rng.depth(100)).collect();
-            let compiled = evaluator
+            let compiled = vm
                 .evaluate(&depths)
-                .unwrap_or_else(|e| panic!("{name}: plan evaluation failed: {e}"));
+                .unwrap_or_else(|e| panic!("{name}: VM evaluation failed: {e}"));
             let incremental = baseline
                 .incremental
                 .try_with_depths(&depths)
@@ -87,7 +87,7 @@ fn compiled_plan_matches_incremental_and_full_resimulation_on_random_grids() {
             // the incremental path — compiled or not — reports the stall
             // horizon of the *original* deadlock, which need not equal the
             // resized run's (a pre-existing property of `try_with_depths`,
-            // faithfully reproduced by the plan and pinned above).
+            // faithfully reproduced by the VM and pinned above).
             if round % 2 == 0 && baseline.outcome.is_completed() {
                 let resized = design.with_fifo_depths(&depths);
                 let full = OmniSimulator::new(&resized)
@@ -105,26 +105,23 @@ fn compiled_plan_matches_incremental_and_full_resimulation_on_random_grids() {
     }
 }
 
-/// The bytecode VM is the third leg of the differential: on every fixture
-/// it must answer bit-identically to the interpreted plan and to the
-/// uncompiled incremental path — warm (delta) and cold, through the codec
-/// roundtrip, and through every batch entry point.
+/// The VM's other entry points: on every fixture a warm (delta) VM, the
+/// same program after a codec roundtrip, and every batch entry point must
+/// answer bit-identically to the uncompiled incremental path.
 #[test]
-fn bytecode_vm_matches_interpreter_and_incremental_on_every_fixture() {
+fn bytecode_vm_matches_incremental_on_every_fixture() {
     let mut rng = Rng::new(0xb17e_c0de_5eed_0003);
     for (name, design, _) in fixture_designs() {
         let baseline = OmniSimulator::new(&design)
             .run()
             .unwrap_or_else(|e| panic!("{name}: baseline failed: {e}"));
-        let plan = SweepPlan::compile(&baseline.incremental)
+        let program = CompiledPlan::compile(&baseline.incremental)
             .unwrap_or_else(|e| panic!("{name}: plan must compile: {e}"));
-        let program = plan.compile_bytecode();
         let decoded = CompiledPlan::decode(&program.encode())
             .unwrap_or_else(|e| panic!("{name}: program must roundtrip: {e}"));
         let mut vm = program.vm();
         let mut decoded_vm = decoded.vm();
-        let mut evaluator = plan.evaluator();
-        let fifos = plan.fifo_count();
+        let fifos = program.fifo_count();
 
         let mut grid: Vec<Vec<usize>> = (0..16)
             .map(|_| (0..fifos).map(|_| rng.depth(100)).collect())
@@ -134,45 +131,42 @@ fn bytecode_vm_matches_interpreter_and_incremental_on_every_fixture() {
         grid.push(vec![1; fifos]);
         grid.push(vec![2; fifos]);
 
+        let mut expected = Vec::with_capacity(grid.len());
         for depths in &grid {
-            let interpreted = evaluator
-                .evaluate(depths)
-                .unwrap_or_else(|e| panic!("{name}: plan evaluation failed: {e}"));
-            let outcome = vm
-                .evaluate(depths)
-                .unwrap_or_else(|e| panic!("{name}: VM evaluation failed: {e}"));
-            assert_eq!(outcome, interpreted, "{name}: VM diverges at {depths:?}");
-            assert_eq!(
-                decoded_vm.evaluate(depths).unwrap(),
-                interpreted,
-                "{name}: decoded program diverges at {depths:?}"
-            );
             let incremental = baseline
                 .incremental
                 .try_with_depths(depths)
                 .unwrap_or_else(|e| panic!("{name}: incremental pass failed: {e}"));
+            let outcome = vm
+                .evaluate(depths)
+                .unwrap_or_else(|e| panic!("{name}: VM evaluation failed: {e}"));
             assert_eq!(
                 outcome, incremental,
                 "{name}: VM and incremental disagree at {depths:?}"
             );
+            assert_eq!(
+                decoded_vm.evaluate(depths).unwrap(),
+                incremental,
+                "{name}: decoded program diverges at {depths:?}"
+            );
+            expected.push(incremental);
         }
 
         // Every batch entry point answers like the per-point loop —
         // including an explicit worker count above the cutoff decision.
-        let interp_batch = plan.evaluate_batch(&grid, false).unwrap();
         assert_eq!(
             program.evaluate_batch(&grid, false).unwrap(),
-            interp_batch,
+            expected,
             "{name}"
         );
         assert_eq!(
             program.evaluate_batch(&grid, true).unwrap(),
-            interp_batch,
+            expected,
             "{name}"
         );
         assert_eq!(
             program.evaluate_batch_workers(&grid, 3).unwrap(),
-            interp_batch,
+            expected,
             "{name}"
         );
     }
@@ -215,7 +209,7 @@ fn sweep_answers_equal_full_resimulation_on_every_fixture() {
 }
 
 /// Delta evaluation must be path-independent: visiting the same grid in
-/// different orders (and from cold evaluators) gives identical answers.
+/// different orders (and from cold VMs) gives identical answers.
 #[test]
 fn delta_evaluation_is_path_independent() {
     let design = table4_designs_with_n(40)
@@ -224,7 +218,7 @@ fn delta_evaluation_is_path_independent() {
         .expect("fig4_ex5 is in the fixture inventory")
         .design;
     let baseline = OmniSimulator::new(&design).run().unwrap();
-    let plan = SweepPlan::compile(&baseline.incremental).unwrap();
+    let plan = CompiledPlan::compile(&baseline.incremental).unwrap();
 
     let grid: Vec<Vec<usize>> = (1..=8)
         .flat_map(|d1| (1..=8).map(move |d2| vec![d1, d2]))
@@ -237,43 +231,82 @@ fn delta_evaluation_is_path_independent() {
     backward.reverse();
     assert_eq!(forward, backward, "evaluation order must not matter");
 
-    let parallel = plan.evaluate_batch(&grid, true).unwrap();
+    let parallel = plan.evaluate_batch_workers(&grid, 3).unwrap();
     assert_eq!(forward, parallel, "chunked parallel solving must agree");
+    let cold: Vec<_> = grid.iter().map(|p| plan.evaluate(p).unwrap()).collect();
+    assert_eq!(forward, cold, "a warm VM must answer like cold ones");
 }
 
-/// `min_depths` answers must be tight: the found depth meets the target,
-/// one less does not — verified against the uncompiled ground truth.
+/// `min_depths` answers must be tight on every fixture with FIFOs: each
+/// certified per-FIFO minimum meets the target with the other FIFOs at
+/// their clamped anchors, and one depth shallower does not — verified
+/// against the uncompiled ground truth, not the VM the search runs on.
 #[test]
 fn min_depths_search_is_tight_against_ground_truth() {
-    let design = producer_consumer(48, 2, 1);
-    let baseline = OmniSimulator::new(&design).run().unwrap();
-    let plan = SweepPlan::compile(&baseline.incremental).unwrap();
     let max_depth = 64;
-    let relaxed = match baseline.incremental.try_with_depths(&[max_depth]).unwrap() {
-        IncrementalOutcome::Valid { total_cycles } => total_cycles,
-        other => panic!("expected valid at max depth, got {other:?}"),
-    };
-
-    let meets = |depth: usize, target: u64| -> bool {
-        matches!(
-            baseline.incremental.try_with_depths(&[depth]).unwrap(),
-            IncrementalOutcome::Valid { total_cycles } if total_cycles <= target
-        )
-    };
-    for target in [relaxed, relaxed + 2, relaxed + 8] {
-        let report = plan.min_depths(target, max_depth).unwrap();
-        assert!(report.combined_meets_target(), "target {target}");
-        let found = report.per_fifo[0].expect("search must certify a depth");
-        assert!(meets(found, target), "found depth misses target {target}");
-        if found > 1 {
+    let mut boundaries = 0;
+    for (name, design, _) in fixture_designs() {
+        if design.fifos.is_empty() {
+            continue;
+        }
+        let baseline = OmniSimulator::new(&design).run().unwrap();
+        let plan = CompiledPlan::compile(&baseline.incremental).unwrap();
+        let fifos = plan.fifo_count();
+        let meets = |depths: &[usize], target: u64| -> bool {
+            matches!(
+                baseline.incremental.try_with_depths(depths).unwrap(),
+                IncrementalOutcome::Valid { total_cycles } if total_cycles <= target
+            )
+        };
+        let anchors: Vec<usize> = plan
+            .original_depths()
+            .iter()
+            .map(|&d| d.clamp(1, max_depth))
+            .collect();
+        // The baseline latency, plus the fully relaxed one and a little
+        // slack above it wherever the all-deep vector certifies.
+        let mut targets = vec![baseline.total_cycles];
+        if let IncrementalOutcome::Valid { total_cycles } = baseline
+            .incremental
+            .try_with_depths(&vec![max_depth; fifos])
+            .unwrap()
+        {
+            targets.extend([total_cycles, total_cycles + 2, total_cycles + 8]);
+        }
+        for target in targets {
+            let report = plan.min_depths(target, max_depth).unwrap();
+            for (f, min) in report.per_fifo.iter().enumerate() {
+                let Some(found) = *min else { continue };
+                let mut probe = anchors.clone();
+                probe[f] = found;
+                assert!(
+                    meets(&probe, target),
+                    "{name} fifo {f}: depth {found} misses target {target}"
+                );
+                if found > 1 {
+                    boundaries += 1;
+                    probe[f] = found - 1;
+                    assert!(
+                        !meets(&probe, target),
+                        "{name} fifo {f}: depth {} below the found minimum also meets \
+                         target {target}",
+                        found - 1
+                    );
+                }
+            }
+            if fifos == 1 && report.per_fifo[0].is_some() {
+                assert!(report.combined_meets_target(), "{name} target {target}");
+            }
+            // Anchor and joint probes, plus per FIFO at most the bound
+            // probe and a binary search over 1..=64.
             assert!(
-                !meets(found - 1, target),
-                "depth {} below the found minimum also meets target {target}",
-                found - 1
+                report.probes <= 2 + fifos * 7,
+                "{name}: {} probes is a scan, not a binary search",
+                report.probes
             );
         }
-        assert!(report.probes <= 16, "binary search, not a scan");
     }
+    assert!(boundaries > 0, "no minimum ever sat above depth 1");
 }
 
 /// Regression: on non-blocking designs, constraint validity is not
@@ -285,7 +318,7 @@ fn min_depths_search_is_tight_against_ground_truth() {
 fn min_depths_certifies_from_the_baseline_anchor_on_nonblocking_designs() {
     let design = nb_drop_counter(48, 2, 3);
     let baseline = OmniSimulator::new(&design).run().unwrap();
-    let plan = SweepPlan::compile(&baseline.incremental).unwrap();
+    let plan = CompiledPlan::compile(&baseline.incremental).unwrap();
     let target = baseline.total_cycles;
     // The bound violates the recorded non-blocking outcomes (a deeper FIFO
     // would have accepted writes that failed in the baseline run)...
@@ -314,7 +347,7 @@ fn compiled_dse_capability_predicts_from_compiled() {
             continue;
         };
         let caps = sim.capabilities();
-        match SweepPlan::from_compiled(compiled.as_ref()) {
+        match CompiledPlan::from_compiled(compiled.as_ref()) {
             Some(Ok(plan)) => {
                 assert!(
                     caps.compiled_dse,

@@ -8,7 +8,7 @@
 //! * `lightning` exactly right on Type A, honestly rejecting Type B/C,
 //! * `csim` exactly right on Type A, book-kept on its documented Type B/C
 //!   divergence,
-//! * compiled `SweepPlan` == `try_with_depths` == full re-simulation on
+//! * the compiled DSE VM == `try_with_depths` == full re-simulation on
 //!   random FIFO-depth vectors.
 //!
 //! A failing seed is shrunk to a minimal blueprint and reported with a CLI
@@ -18,7 +18,7 @@
 
 use omnisim_suite::backend;
 use omnisim_suite::designs::fuzz as fuzz_fixtures;
-use omnisim_suite::dse::SweepPlan;
+use omnisim_suite::dse::CompiledPlan;
 use omnisim_suite::gen::{
     check_seeded, fuzz_seed, shrink, CsimAgreement, DiffConfig, DiffReport, GenConfig,
 };
@@ -202,13 +202,12 @@ fn forced_deadlocks_are_diagnosed_identically_by_both_backends() {
 /// must complete in the reference simulator, `CertifiedDeadlock` designs
 /// must not, and every static depth lower bound must stay at or below the
 /// certified `min_depths` minimum. The expensive simulation cross-checks
-/// (DSE points, bytecode VM) are off: the reference run the analyzer is
-/// judged against is the only simulation this test needs.
+/// (DSE points) are off: the reference run the analyzer is judged against
+/// is the only simulation this test needs.
 #[test]
 fn analyzer_verdicts_are_sound_across_every_preset() {
     let diff = DiffConfig {
         dse_points: 0,
-        bytecode: false,
         min_depths: true,
         analyze: true,
         ..DiffConfig::default()
@@ -338,16 +337,16 @@ fn axi_beat_anchor_incremental_matches_full_resim_at_every_depth() {
 }
 
 /// Leftover data: probes below the surplus are infeasible — the resized
-/// design deadlocks — and both the uncompiled and compiled DSE paths must
-/// say so instead of certifying a latency (the pre-fix paths skipped the
+/// design deadlocks — and both the uncompiled path and the DSE VM must say
+/// so instead of certifying a latency (the pre-fix paths skipped the
 /// non-existent freeing read and certified).
 #[test]
 fn multirate_leftover_probes_below_surplus_are_infeasible() {
     let design = fuzz_fixtures::multirate_leftover(6, 3, 2);
     let baseline = OmniSimulator::new(&design).run().unwrap();
     assert!(baseline.outcome.is_completed());
-    let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-    let mut eval = plan.evaluator();
+    let plan = CompiledPlan::compile(&baseline.incremental).unwrap();
+    let mut vm = plan.vm();
     for depth in 1..2usize {
         assert_eq!(
             baseline.incremental.try_with_depths(&[depth]).unwrap(),
@@ -355,9 +354,9 @@ fn multirate_leftover_probes_below_surplus_are_infeasible() {
             "depth {depth}"
         );
         assert_eq!(
-            eval.evaluate(&[depth]).unwrap(),
+            vm.evaluate(&[depth]).unwrap(),
             IncrementalOutcome::DepthInfeasible { fifo: 0 },
-            "compiled path at depth {depth}"
+            "VM at depth {depth}"
         );
         let full = OmniSimulator::new(&design.with_fifo_depths(&[depth]))
             .run()
@@ -383,13 +382,14 @@ fn multirate_leftover_probes_below_surplus_are_infeasible() {
 
 /// Multi-rate reconvergence: the depth-1 overlay is cyclic (the design
 /// deadlocks at depth 1), the plan must still compile from the completed
-/// baseline, and both DSE paths must report the cyclic point identically.
+/// baseline, and the uncompiled path and the VM must report the cyclic
+/// point identically.
 #[test]
 fn multirate_diamond_depth_one_is_cyclic_and_diagnosed_identically() {
     let design = fuzz_fixtures::multirate_diamond(5);
     let baseline = OmniSimulator::new(&design).run().unwrap();
     assert!(baseline.outcome.is_completed());
-    let plan = SweepPlan::compile(&baseline.incremental)
+    let plan = CompiledPlan::compile(&baseline.incremental)
         .expect("completed multi-rate baselines must compile");
     let all_one = vec![1usize; design.fifos.len()];
     assert_eq!(
@@ -397,7 +397,7 @@ fn multirate_diamond_depth_one_is_cyclic_and_diagnosed_identically() {
         IncrementalOutcome::DepthCyclic
     );
     assert_eq!(
-        plan.evaluator().evaluate(&all_one).unwrap(),
+        plan.vm().evaluate(&all_one).unwrap(),
         IncrementalOutcome::DepthCyclic
     );
     // The undersized design itself deadlocks, and both cycle-accurate

@@ -1,7 +1,7 @@
 //! Fuzzing the DSE inverse query: `min_depths` tightness on generated
 //! designs.
 //!
-//! `SweepPlan::min_depths` binary-searches, per FIFO, the smallest depth
+//! `CompiledPlan::min_depths` binary-searches, per FIFO, the smallest depth
 //! whose *certified* latency meets a target (holding the other FIFOs at
 //! their baseline anchors). On Type A designs the plan is exact — there are
 //! no non-blocking constraints that could flip — so the certificate has a
@@ -16,7 +16,7 @@
 //!   infeasible/cyclic and full re-simulation confirms the resized design
 //!   does not complete.
 
-use omnisim_suite::dse::SweepPlan;
+use omnisim_suite::dse::CompiledPlan;
 use omnisim_suite::gen::{generate, GenConfig};
 use omnisim_suite::ir::DesignClass;
 use omnisim_suite::omnisim::{IncrementalOutcome, OmniSimulator};
@@ -53,7 +53,7 @@ fn check_tightness(preset: &GenConfig, seeds: std::ops::Range<u64>) -> Tightness
             continue;
         }
         stats.designs += 1;
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
+        let plan = CompiledPlan::compile(&baseline.incremental).unwrap();
         // The baseline latency is always reachable; every fourth design
         // also searches a slacker target to move the boundary.
         let mut targets = vec![baseline.total_cycles];
@@ -84,7 +84,7 @@ fn check_tightness(preset: &GenConfig, seeds: std::ops::Range<u64>) -> Tightness
                 .iter()
                 .map(|&d| d.clamp(1, MAX_DEPTH))
                 .collect();
-            let mut eval = plan.evaluator();
+            let mut vm = plan.vm();
             for (f, min) in md.per_fifo.iter().enumerate() {
                 let Some(min) = *min else { continue };
                 stats.minima += 1;
@@ -109,7 +109,7 @@ fn check_tightness(preset: &GenConfig, seeds: std::ops::Range<u64>) -> Tightness
                 let shallower = OmniSimulator::new(&g.design.with_fifo_depths(&probe))
                     .run()
                     .unwrap();
-                match eval.evaluate(&probe).unwrap() {
+                match vm.evaluate(&probe).unwrap() {
                     IncrementalOutcome::Valid { total_cycles } => {
                         assert!(
                             total_cycles > target,
