@@ -125,23 +125,21 @@ impl<'d> OmniSimulator<'d> {
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         let mut runtime =
                             FuncRuntime::new(thread_id, design, req_tx.clone(), resp_rx, arrays);
-                        let mut interp = Interpreter::with_fuel(design, fuel);
-                        let outcome = interp.run_module(task, &[], &mut runtime);
-                        (outcome, runtime.end_cycle())
+                        Interpreter::with_fuel(design, fuel).run_module(task, &[], &mut runtime)
                     }));
                     match result {
-                        Ok((Ok(outcome), end_cycle)) => {
+                        Ok(Ok(outcome)) => {
                             let _ = req_tx.send(Request::TaskFinished {
                                 thread: thread_id,
-                                end_cycle,
+                                end_cycle: outcome.end_cycle,
                                 ops_executed: outcome.ops_executed,
                             });
                         }
-                        Ok((Err(SimError::Aborted { .. }), _)) => {
+                        Ok(Err(SimError::Aborted { .. })) => {
                             // Engine-initiated shutdown: the Perf Sim thread
                             // already accounted for this thread.
                         }
-                        Ok((Err(error), _)) => {
+                        Ok(Err(error)) => {
                             let _ = req_tx.send(Request::TaskFailed {
                                 thread: thread_id,
                                 error,

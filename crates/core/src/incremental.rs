@@ -11,13 +11,15 @@
 //! or data flow of the design could have diverged, and a full re-simulation
 //! is required.
 //!
-//! Because the engine's node times are recorded *with* the stalls observed
-//! under the original FIFO depths, the incremental latency is a **sound,
-//! conservative** estimate when depths grow: it never under-estimates the
-//! resized design's latency and never exceeds the original latency. For the
-//! FIFO-sizing workflows of Table 6 (checking whether a size change is safe
-//! and how much it helps) this is exactly what is needed; exact numbers are
-//! always available through a full re-simulation.
+//! Node times do not carry the stalls of the original run: each task's
+//! first node sits at its scheduled cycle and every later node hangs off its
+//! predecessor by the static-schedule distance, so finalization re-derives
+//! every stall from the read-after-write edges and the depth-dependent
+//! write-after-read overlay. A [`IncrementalOutcome::Valid`] latency is
+//! therefore **exact** — equal to what a full re-simulation at the new
+//! depths reports, whether depths grow or shrink. Only the points the
+//! recorded run cannot certify (a flipped constraint, an infeasible or
+//! cyclic depth vector) need a full re-simulation.
 
 use crate::query::QueryKind;
 use omnisim_graph::{CycleError, Edge, EventGraph, NodeId};

@@ -9,12 +9,15 @@
 //! ## How it works
 //!
 //! * One **Func Sim thread** is spawned per dataflow module; it executes the
-//!   module's code (through `omnisim-interp`) against a runtime that tracks
-//!   the module's exact hardware cycle with a [`omnisim_interp::ModuleClock`].
+//!   module's code on `omnisim-interp`'s executor, which keeps the module's
+//!   exact hardware cycle (including the stalls the Perf Sim thread reports
+//!   back), against a runtime that turns each access into a request.
 //! * Every FIFO access is sent as a **request** to a central **Perf Sim
-//!   thread** (Table 1 of the paper). Blocking writes never pause the issuing
-//!   thread; blocking reads and all non-blocking accesses pause the thread
-//!   until the Perf Sim thread answers.
+//!   thread** (Table 1 of the paper), and the issuing thread pauses until
+//!   the Perf Sim thread answers: a blocking access with its commit cycle
+//!   (parked until the matching access on the other side is known), a
+//!   non-blocking access or status check with its resolved outcome. AXI
+//!   traffic and outputs are sent without pausing.
 //! * The Perf Sim thread maintains **FIFO read/write tables** recording the
 //!   exact hardware cycle of every committed access, a **partial simulation
 //!   graph** ([`omnisim_graph::EventGraph`]) and a **query pool**. Queries

@@ -8,7 +8,6 @@ use omnisim_ir::FifoId;
 
 /// The kind of non-blocking access a query represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QueryKind {
     /// `write_nb()` — can the w-th write commit?
     NbWrite,

@@ -2,16 +2,17 @@
 //! thread's interpreter.
 //!
 //! The runtime plays the role of the paper's runtime shared library (§6.1):
-//! every FIFO intrinsic becomes a [`Request`] to the Perf Sim thread, every
-//! pausing request blocks on the thread's private response channel, and a
-//! [`ModuleClock`] tracks the module's exact hardware cycle (including stalls
-//! reported back by the Perf Sim thread).
+//! every FIFO intrinsic becomes a [`Request`] to the Perf Sim thread, and
+//! every pausing request blocks on the thread's private response channel.
+//! The interpreter's executor keeps the module's exact hardware cycle; the
+//! runtime stamps each request with it and hands back the commit cycle the
+//! Perf Sim thread answers with.
 
 use crate::request::{Request, Response, ThreadId};
-use omnisim_interp::{ModuleClock, SimBackend, SimError};
-use omnisim_ir::schedule::BlockSchedule;
-use omnisim_ir::{ArrayId, AxiId, BlockId, Design, FifoId, ModuleId, OutputId};
+use omnisim_interp::{At, Halt, SimBackend, SimError};
+use omnisim_ir::{ArrayId, AxiId, Design, FifoId, OutputId};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 
@@ -53,7 +54,6 @@ struct AxiWriteState {
 pub struct FuncRuntime<'a> {
     thread: ThreadId,
     design: &'a Design,
-    clock: ModuleClock,
     requests: Sender<Request>,
     responses: Receiver<Response>,
     arrays: &'a [Mutex<Vec<i64>>],
@@ -62,8 +62,7 @@ pub struct FuncRuntime<'a> {
 }
 
 impl<'a> FuncRuntime<'a> {
-    /// Creates the runtime for thread `thread`. Dataflow tasks start
-    /// executing at hardware cycle 1 (one cycle after the region start).
+    /// Creates the runtime for thread `thread`.
     pub fn new(
         thread: ThreadId,
         design: &'a Design,
@@ -74,19 +73,12 @@ impl<'a> FuncRuntime<'a> {
         FuncRuntime {
             thread,
             design,
-            clock: ModuleClock::starting_at(1),
             requests,
             responses,
             arrays,
             axi_read: vec![AxiReadState::default(); design.axi_ports.len()],
             axi_write: vec![AxiWriteState::default(); design.axi_ports.len()],
         }
-    }
-
-    /// The cycle at which the module's final block exits (valid once the
-    /// interpreter has returned).
-    pub fn end_cycle(&self) -> u64 {
-        self.clock.block_exit()
     }
 
     fn send(&self, request: Request) -> Result<(), SimError> {
@@ -107,127 +99,90 @@ impl<'a> FuncRuntime<'a> {
 }
 
 impl SimBackend for FuncRuntime<'_> {
-    fn block_start(
-        &mut self,
-        _module: ModuleId,
-        _block: BlockId,
-        schedule: BlockSchedule,
-        back_edge: bool,
-    ) -> Result<(), SimError> {
-        self.clock.enter_block(&schedule, back_edge);
-        Ok(())
-    }
+    type Wait = Infallible;
 
-    fn fifo_read(&mut self, fifo: FifoId, offset: u64) -> Result<i64, SimError> {
-        let cycle = self.clock.op_cycle(offset);
-        let frontier = cycle.min(self.clock.next_entry_floor());
+    fn fifo_read(&mut self, fifo: FifoId, at: At) -> Result<(i64, u64), Halt<Infallible>> {
         self.send(Request::FifoRead {
             thread: self.thread,
             fifo,
-            cycle,
-            frontier,
+            cycle: at.cycle,
+            frontier: at.frontier,
         })?;
         match self.wait()? {
-            Response::ReadValue {
-                value,
-                cycle: commit,
-            } => {
-                self.clock.stall_until(offset, commit);
-                Ok(value)
-            }
-            other => Err(SimError::Aborted {
-                reason: format!("unexpected response to blocking read: {other:?}"),
-            }),
+            Response::ReadValue { value, cycle } => Ok((value, cycle)),
+            other => Err(unexpected("blocking read", &other).into()),
         }
     }
 
-    fn fifo_write(&mut self, fifo: FifoId, value: i64, offset: u64) -> Result<(), SimError> {
-        let cycle = self.clock.op_cycle(offset);
-        let frontier = cycle.min(self.clock.next_entry_floor());
+    fn fifo_write(&mut self, fifo: FifoId, value: i64, at: At) -> Result<u64, Halt<Infallible>> {
         self.send(Request::FifoWrite {
             thread: self.thread,
             fifo,
             value,
-            cycle,
-            frontier,
+            cycle: at.cycle,
+            frontier: at.frontier,
         })?;
         match self.wait()? {
-            Response::WriteDone { cycle: commit } => {
-                self.clock.stall_until(offset, commit);
-                Ok(())
-            }
-            other => Err(SimError::Aborted {
-                reason: format!("unexpected response to blocking write: {other:?}"),
-            }),
+            Response::WriteDone { cycle } => Ok(cycle),
+            other => Err(unexpected("blocking write", &other).into()),
         }
     }
 
-    fn fifo_nb_read(&mut self, fifo: FifoId, offset: u64) -> Result<Option<i64>, SimError> {
-        let cycle = self.clock.op_cycle(offset);
-        let frontier = cycle.min(self.clock.next_entry_floor());
+    fn fifo_nb_read(&mut self, fifo: FifoId, at: At) -> Result<Option<i64>, Halt<Infallible>> {
         self.send(Request::FifoNbRead {
             thread: self.thread,
             fifo,
-            cycle,
-            frontier,
+            cycle: at.cycle,
+            frontier: at.frontier,
         })?;
         match self.wait()? {
             Response::NbRead { value } => Ok(value),
-            other => Err(SimError::Aborted {
-                reason: format!("unexpected response to non-blocking read: {other:?}"),
-            }),
+            other => Err(unexpected("non-blocking read", &other).into()),
         }
     }
 
-    fn fifo_nb_write(&mut self, fifo: FifoId, value: i64, offset: u64) -> Result<bool, SimError> {
-        let cycle = self.clock.op_cycle(offset);
-        let frontier = cycle.min(self.clock.next_entry_floor());
+    fn fifo_nb_write(
+        &mut self,
+        fifo: FifoId,
+        value: i64,
+        at: At,
+    ) -> Result<bool, Halt<Infallible>> {
         self.send(Request::FifoNbWrite {
             thread: self.thread,
             fifo,
             value,
-            cycle,
-            frontier,
+            cycle: at.cycle,
+            frontier: at.frontier,
         })?;
         match self.wait()? {
             Response::NbWrite { accepted } => Ok(accepted),
-            other => Err(SimError::Aborted {
-                reason: format!("unexpected response to non-blocking write: {other:?}"),
-            }),
+            other => Err(unexpected("non-blocking write", &other).into()),
         }
     }
 
-    fn fifo_empty(&mut self, fifo: FifoId, offset: u64) -> Result<bool, SimError> {
-        let cycle = self.clock.op_cycle(offset);
-        let frontier = cycle.min(self.clock.next_entry_floor());
+    fn fifo_empty(&mut self, fifo: FifoId, at: At) -> Result<bool, Halt<Infallible>> {
         self.send(Request::FifoCanRead {
             thread: self.thread,
             fifo,
-            cycle,
-            frontier,
+            cycle: at.cycle,
+            frontier: at.frontier,
         })?;
         match self.wait()? {
             Response::Status { value: can_read } => Ok(!can_read),
-            other => Err(SimError::Aborted {
-                reason: format!("unexpected response to empty() check: {other:?}"),
-            }),
+            other => Err(unexpected("empty() check", &other).into()),
         }
     }
 
-    fn fifo_full(&mut self, fifo: FifoId, offset: u64) -> Result<bool, SimError> {
-        let cycle = self.clock.op_cycle(offset);
-        let frontier = cycle.min(self.clock.next_entry_floor());
+    fn fifo_full(&mut self, fifo: FifoId, at: At) -> Result<bool, Halt<Infallible>> {
         self.send(Request::FifoCanWrite {
             thread: self.thread,
             fifo,
-            cycle,
-            frontier,
+            cycle: at.cycle,
+            frontier: at.frontier,
         })?;
         match self.wait()? {
             Response::Status { value: can_write } => Ok(!can_write),
-            other => Err(SimError::Aborted {
-                reason: format!("unexpected response to full() check: {other:?}"),
-            }),
+            other => Err(unexpected("full() check", &other).into()),
         }
     }
 
@@ -258,15 +213,8 @@ impl SimBackend for FuncRuntime<'_> {
         Ok(())
     }
 
-    fn axi_read_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        len: i64,
-        offset: u64,
-    ) -> Result<(), SimError> {
+    fn axi_read_req(&mut self, bus: AxiId, addr: i64, len: i64, at: At) -> Result<(), SimError> {
         let port = self.design.axi_port(bus);
-        let cycle = self.clock.op_cycle(offset);
         let mut values = VecDeque::with_capacity(usize::try_from(len).unwrap_or(0));
         {
             let data = self.arrays[port.array.index()]
@@ -290,19 +238,18 @@ impl SimBackend for FuncRuntime<'_> {
         state.issued += 1;
         state.bursts.push_back(ReadBurst {
             values,
-            ready: cycle + port.request_latency,
+            ready: at.cycle + port.request_latency,
             index,
             beats_done: 0,
         });
         self.send(Request::AxiReadReq {
             thread: self.thread,
             bus,
-            cycle,
+            cycle: at.cycle,
         })
     }
 
-    fn axi_read(&mut self, bus: AxiId, offset: u64) -> Result<i64, SimError> {
-        let request = self.clock.op_cycle(offset);
+    fn axi_read(&mut self, bus: AxiId, at: At) -> Result<(i64, u64), Halt<Infallible>> {
         let (value, ready, burst, beat, done) = {
             let state = &mut self.axi_read[bus.index()];
             let front = state
@@ -323,25 +270,19 @@ impl SimBackend for FuncRuntime<'_> {
         if done {
             self.axi_read[bus.index()].bursts.pop_front();
         }
-        let commit = self.clock.stall_until(offset, ready);
+        let commit = ready.max(at.cycle);
         self.send(Request::AxiReadBeat {
             thread: self.thread,
             bus,
             burst,
             beat,
-            request,
+            request: at.cycle,
             commit,
         })?;
-        Ok(value)
+        Ok((value, commit))
     }
 
-    fn axi_write_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        len: i64,
-        _offset: u64,
-    ) -> Result<(), SimError> {
+    fn axi_write_req(&mut self, bus: AxiId, addr: i64, len: i64, _at: At) -> Result<(), SimError> {
         self.axi_write[bus.index()].bursts.push_back(WriteBurst {
             addr,
             len,
@@ -350,9 +291,8 @@ impl SimBackend for FuncRuntime<'_> {
         Ok(())
     }
 
-    fn axi_write(&mut self, bus: AxiId, value: i64, offset: u64) -> Result<(), SimError> {
+    fn axi_write(&mut self, bus: AxiId, value: i64, at: At) -> Result<(), SimError> {
         let port = self.design.axi_port(bus);
-        let cycle = self.clock.op_cycle(offset);
         let state = &mut self.axi_write[bus.index()];
         let front = state
             .bursts
@@ -363,7 +303,7 @@ impl SimBackend for FuncRuntime<'_> {
         let idx = front.addr + front.beats_done;
         front.beats_done += 1;
         let done = front.beats_done >= front.len;
-        state.last_beat_cycle = cycle;
+        state.last_beat_cycle = at.cycle;
         if done {
             state.bursts.pop_front();
         }
@@ -384,21 +324,21 @@ impl SimBackend for FuncRuntime<'_> {
         self.send(Request::AxiWriteBeat {
             thread: self.thread,
             bus,
-            cycle,
+            cycle: at.cycle,
         })
     }
 
-    fn axi_write_resp(&mut self, bus: AxiId, offset: u64) -> Result<(), SimError> {
+    fn axi_write_resp(&mut self, bus: AxiId, at: At) -> Result<u64, Halt<Infallible>> {
         let port = self.design.axi_port(bus);
-        let request = self.clock.op_cycle(offset);
         let ready = self.axi_write[bus.index()].last_beat_cycle + port.request_latency;
-        let commit = self.clock.stall_until(offset, ready);
+        let commit = ready.max(at.cycle);
         self.send(Request::AxiWriteResp {
             thread: self.thread,
             bus,
-            request,
+            request: at.cycle,
             commit,
-        })
+        })?;
+        Ok(commit)
     }
 
     fn output(&mut self, output: OutputId, value: i64) -> Result<(), SimError> {
@@ -408,14 +348,10 @@ impl SimBackend for FuncRuntime<'_> {
             value,
         })
     }
+}
 
-    fn call_enter(&mut self, _callee: ModuleId, offset: u64) -> Result<(), SimError> {
-        self.clock.call_enter(offset);
-        Ok(())
-    }
-
-    fn call_exit(&mut self, _callee: ModuleId) -> Result<(), SimError> {
-        self.clock.call_exit();
-        Ok(())
+fn unexpected(what: &str, response: &Response) -> SimError {
+    SimError::Aborted {
+        reason: format!("unexpected response to {what}: {response:?}"),
     }
 }

@@ -69,12 +69,12 @@ use omnisim_api::{
     Simulator,
 };
 use omnisim_codec::{frame, unframe, ByteReader, ByteWriter, CodecError};
-use omnisim_interp::{Interpreter, SimBackend, SimError};
+use omnisim_interp::{At, Halt, Interpreter, SimBackend, SimError};
 use omnisim_ir::design::OutputMap;
-use omnisim_ir::schedule::BlockSchedule;
-use omnisim_ir::{ArrayId, AxiId, BlockId, Design, FifoId, ModuleId, OutputId};
+use omnisim_ir::{ArrayId, AxiId, Design, FifoId, ModuleId, OutputId};
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -545,38 +545,34 @@ impl<'d> SeqBackend<'d> {
     }
 }
 
+/// Untimed: every access commits at its scheduled cycle.
 impl SimBackend for SeqBackend<'_> {
-    fn block_start(
-        &mut self,
-        _module: ModuleId,
-        _block: BlockId,
-        _schedule: BlockSchedule,
-        _back_edge: bool,
-    ) -> Result<(), SimError> {
-        Ok(())
+    type Wait = Infallible;
+
+    fn fifo_read(&mut self, fifo: FifoId, at: At) -> Result<(i64, u64), Halt<Infallible>> {
+        let value = self.fifos[fifo.index()].pop_front().unwrap_or_else(|| {
+            let name = &self.design.fifos[fifo.index()].name;
+            self.warn(format!("Hls::stream '{name}' is read while empty"));
+            0
+        });
+        Ok((value, at.cycle))
     }
 
-    fn fifo_read(&mut self, fifo: FifoId, _offset: u64) -> Result<i64, SimError> {
-        match self.fifos[fifo.index()].pop_front() {
-            Some(v) => Ok(v),
-            None => {
-                let name = &self.design.fifos[fifo.index()].name;
-                self.warn(format!("Hls::stream '{name}' is read while empty"));
-                Ok(0)
-            }
-        }
-    }
-
-    fn fifo_write(&mut self, fifo: FifoId, value: i64, _offset: u64) -> Result<(), SimError> {
+    fn fifo_write(&mut self, fifo: FifoId, value: i64, at: At) -> Result<u64, Halt<Infallible>> {
         self.fifos[fifo.index()].push_back(value);
-        Ok(())
+        Ok(at.cycle)
     }
 
-    fn fifo_nb_read(&mut self, fifo: FifoId, _offset: u64) -> Result<Option<i64>, SimError> {
+    fn fifo_nb_read(&mut self, fifo: FifoId, _at: At) -> Result<Option<i64>, Halt<Infallible>> {
         Ok(self.fifos[fifo.index()].pop_front())
     }
 
-    fn fifo_nb_write(&mut self, fifo: FifoId, value: i64, _offset: u64) -> Result<bool, SimError> {
+    fn fifo_nb_write(
+        &mut self,
+        fifo: FifoId,
+        value: i64,
+        _at: At,
+    ) -> Result<bool, Halt<Infallible>> {
         // During C simulation streams are infinite, so a non-blocking write
         // can never observe a full FIFO — the root cause of the wrong
         // results in Table 3.
@@ -584,11 +580,11 @@ impl SimBackend for SeqBackend<'_> {
         Ok(true)
     }
 
-    fn fifo_empty(&mut self, fifo: FifoId, _offset: u64) -> Result<bool, SimError> {
+    fn fifo_empty(&mut self, fifo: FifoId, _at: At) -> Result<bool, Halt<Infallible>> {
         Ok(self.fifos[fifo.index()].is_empty())
     }
 
-    fn fifo_full(&mut self, _fifo: FifoId, _offset: u64) -> Result<bool, SimError> {
+    fn fifo_full(&mut self, _fifo: FifoId, _at: At) -> Result<bool, Halt<Infallible>> {
         Ok(false)
     }
 
@@ -615,13 +611,7 @@ impl SimBackend for SeqBackend<'_> {
         Ok(())
     }
 
-    fn axi_read_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        len: i64,
-        _offset: u64,
-    ) -> Result<(), SimError> {
+    fn axi_read_req(&mut self, bus: AxiId, addr: i64, len: i64, _at: At) -> Result<(), SimError> {
         let port = self.design.axi_port(bus);
         let data = &self.arrays[port.array.index()];
         for beat in 0..len {
@@ -639,26 +629,21 @@ impl SimBackend for SeqBackend<'_> {
         Ok(())
     }
 
-    fn axi_read(&mut self, bus: AxiId, _offset: u64) -> Result<i64, SimError> {
-        self.axi_read_queues[bus.index()]
+    fn axi_read(&mut self, bus: AxiId, at: At) -> Result<(i64, u64), Halt<Infallible>> {
+        let value = self.axi_read_queues[bus.index()]
             .pop_front()
             .ok_or_else(|| SimError::AxiProtocolViolation {
                 detail: "axi read beat without outstanding request".to_owned(),
-            })
+            })?;
+        Ok((value, at.cycle))
     }
 
-    fn axi_write_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        _len: i64,
-        _offset: u64,
-    ) -> Result<(), SimError> {
+    fn axi_write_req(&mut self, bus: AxiId, addr: i64, _len: i64, _at: At) -> Result<(), SimError> {
         self.axi_write_cursors[bus.index()] = Some((addr, 0));
         Ok(())
     }
 
-    fn axi_write(&mut self, bus: AxiId, value: i64, _offset: u64) -> Result<(), SimError> {
+    fn axi_write(&mut self, bus: AxiId, value: i64, _at: At) -> Result<(), SimError> {
         let port = self.design.axi_port(bus);
         let (addr, done) =
             self.axi_write_cursors[bus.index()].ok_or_else(|| SimError::AxiProtocolViolation {
@@ -680,8 +665,8 @@ impl SimBackend for SeqBackend<'_> {
         Ok(())
     }
 
-    fn axi_write_resp(&mut self, _bus: AxiId, _offset: u64) -> Result<(), SimError> {
-        Ok(())
+    fn axi_write_resp(&mut self, _bus: AxiId, at: At) -> Result<u64, Halt<Infallible>> {
+        Ok(at.cycle)
     }
 
     fn output(&mut self, output: OutputId, value: i64) -> Result<(), SimError> {

@@ -44,7 +44,6 @@ use std::fmt;
 
 /// Identifies a node of a simulation graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {

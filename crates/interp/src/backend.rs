@@ -1,63 +1,83 @@
 //! The [`SimBackend`] trait: the runtime-library interface of a simulator.
 //!
-//! Every hardware-visible action performed by an interpreted module is routed
+//! Every hardware-visible action performed by an executed module is routed
 //! through this trait, exactly as the paper's runtime shared object receives
 //! every FIFO/AXI intrinsic call of the compiled design (§6.1). The methods
 //! mirror the request types of Table 1.
 
 use crate::error::SimError;
-use omnisim_ir::schedule::BlockSchedule;
-use omnisim_ir::{ArrayId, AxiId, BlockId, FifoId, ModuleId, OutputId};
+use omnisim_ir::{ArrayId, AxiId, FifoId, Op, OutputId};
 
-/// The interface between interpreted design code and a simulator.
+/// Where an operation sits in hardware time, as the executor hands it to a
+/// backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct At {
+    /// The operation's scheduled cycle, including every stall its task has
+    /// committed so far.
+    pub cycle: u64,
+    /// The task's forward-progress frontier, `min(cycle, next_entry_floor)`:
+    /// no later FIFO access of the task can be scheduled before this cycle.
+    pub frontier: u64,
+}
+
+/// Why a backend did not complete an operation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Halt<W> {
+    /// Not yet: the executor hands `W` back from its `step` and retries the
+    /// same operation on the next one.
+    Wait(W),
+    /// The run failed.
+    Fail(SimError),
+}
+
+impl<W> From<SimError> for Halt<W> {
+    fn from(error: SimError) -> Self {
+        Halt::Fail(error)
+    }
+}
+
+/// The interface between executed design code and a simulator.
 ///
-/// Methods that correspond to scheduled operations receive the operation's
-/// cycle `offset` within the current basic block so that timing-aware
-/// backends can reconstruct exact hardware cycles; untimed backends are free
-/// to ignore it.
-///
-/// All methods have reasonable defaults where an action is purely
-/// informational, so simple backends only implement what they need.
+/// The executor owns hardware time: every timed method receives the
+/// operation's [`At`], and methods that can stall return the cycle at which
+/// the operation commits (never earlier than `at.cycle`), which the executor
+/// applies to the task's timeline. Untimed backends ignore `at` and commit at
+/// `at.cycle`.
 pub trait SimBackend {
-    /// A module entered a basic block (`TraceBlock` in Table 1).
-    ///
-    /// `back_edge` is true when the block is re-entered directly from itself
-    /// (a pipelined loop iteration), which timing-aware backends use to apply
-    /// the initiation interval instead of the full block latency.
-    fn block_start(
-        &mut self,
-        module: ModuleId,
-        block: BlockId,
-        schedule: BlockSchedule,
-        back_edge: bool,
-    ) -> Result<(), SimError>;
+    /// What the backend answers when an operation cannot complete yet.
+    /// Backends that always answer use [`std::convert::Infallible`], which
+    /// lets [`crate::Interpreter::run_module`] run them to completion.
+    type Wait;
 
-    /// The module finished executing (returned from its entry block).
-    fn module_finish(&mut self, module: ModuleId) -> Result<(), SimError> {
-        let _ = module;
+    /// Asked before every operation, with its scheduled cycle, and before
+    /// every block terminator (`op` is `None`), with the entry cycle of the
+    /// current block. `Err` holds the task there until the next step. The
+    /// default never holds.
+    fn admit(&mut self, entry: u64, op: Option<(&Op, u64)>) -> Result<(), Self::Wait> {
+        let _ = (entry, op);
         Ok(())
     }
 
-    /// Blocking FIFO read: must return the popped value, stalling the
-    /// simulated module as long as necessary.
-    fn fifo_read(&mut self, fifo: FifoId, offset: u64) -> Result<i64, SimError>;
+    /// Blocking FIFO read: the popped value and its commit cycle.
+    fn fifo_read(&mut self, fifo: FifoId, at: At) -> Result<(i64, u64), Halt<Self::Wait>>;
 
-    /// Blocking FIFO write.
-    fn fifo_write(&mut self, fifo: FifoId, value: i64, offset: u64) -> Result<(), SimError>;
+    /// Blocking FIFO write: its commit cycle.
+    fn fifo_write(&mut self, fifo: FifoId, value: i64, at: At) -> Result<u64, Halt<Self::Wait>>;
 
     /// Non-blocking FIFO read: `Some(value)` on success, `None` when the FIFO
-    /// is empty at the access cycle.
-    fn fifo_nb_read(&mut self, fifo: FifoId, offset: u64) -> Result<Option<i64>, SimError>;
+    /// is empty at `at.cycle`.
+    fn fifo_nb_read(&mut self, fifo: FifoId, at: At) -> Result<Option<i64>, Halt<Self::Wait>>;
 
     /// Non-blocking FIFO write: `true` when the value was accepted, `false`
-    /// when the FIFO is full at the access cycle.
-    fn fifo_nb_write(&mut self, fifo: FifoId, value: i64, offset: u64) -> Result<bool, SimError>;
+    /// when the FIFO is full at `at.cycle`.
+    fn fifo_nb_write(&mut self, fifo: FifoId, value: i64, at: At)
+        -> Result<bool, Halt<Self::Wait>>;
 
-    /// FIFO `empty()` status check at the access cycle.
-    fn fifo_empty(&mut self, fifo: FifoId, offset: u64) -> Result<bool, SimError>;
+    /// FIFO `empty()` status check at `at.cycle`.
+    fn fifo_empty(&mut self, fifo: FifoId, at: At) -> Result<bool, Halt<Self::Wait>>;
 
-    /// FIFO `full()` status check at the access cycle.
-    fn fifo_full(&mut self, fifo: FifoId, offset: u64) -> Result<bool, SimError>;
+    /// FIFO `full()` status check at `at.cycle`.
+    fn fifo_full(&mut self, fifo: FifoId, at: At) -> Result<bool, Halt<Self::Wait>>;
 
     /// Global array load.
     fn array_load(&mut self, array: ArrayId, index: i64) -> Result<i64, SimError>;
@@ -66,44 +86,20 @@ pub trait SimBackend {
     fn array_store(&mut self, array: ArrayId, index: i64, value: i64) -> Result<(), SimError>;
 
     /// AXI read-burst request (`AxiReadReq`).
-    fn axi_read_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        len: i64,
-        offset: u64,
-    ) -> Result<(), SimError>;
+    fn axi_read_req(&mut self, bus: AxiId, addr: i64, len: i64, at: At) -> Result<(), SimError>;
 
-    /// Consume one AXI read beat (`AxiRead`).
-    fn axi_read(&mut self, bus: AxiId, offset: u64) -> Result<i64, SimError>;
+    /// Consume one AXI read beat (`AxiRead`): its value and commit cycle.
+    fn axi_read(&mut self, bus: AxiId, at: At) -> Result<(i64, u64), Halt<Self::Wait>>;
 
     /// AXI write-burst request (`AxiWriteReq`).
-    fn axi_write_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        len: i64,
-        offset: u64,
-    ) -> Result<(), SimError>;
+    fn axi_write_req(&mut self, bus: AxiId, addr: i64, len: i64, at: At) -> Result<(), SimError>;
 
     /// Send one AXI write beat (`AxiWrite`).
-    fn axi_write(&mut self, bus: AxiId, value: i64, offset: u64) -> Result<(), SimError>;
+    fn axi_write(&mut self, bus: AxiId, value: i64, at: At) -> Result<(), SimError>;
 
-    /// Wait for the AXI write response (`AxiWriteResp`).
-    fn axi_write_resp(&mut self, bus: AxiId, offset: u64) -> Result<(), SimError>;
+    /// Wait for the AXI write response (`AxiWriteResp`): its commit cycle.
+    fn axi_write_resp(&mut self, bus: AxiId, at: At) -> Result<u64, Halt<Self::Wait>>;
 
     /// Record a testbench-visible output value.
     fn output(&mut self, output: OutputId, value: i64) -> Result<(), SimError>;
-
-    /// A call to another function module is about to begin (`StartTask`-like).
-    fn call_enter(&mut self, callee: ModuleId, offset: u64) -> Result<(), SimError> {
-        let _ = (callee, offset);
-        Ok(())
-    }
-
-    /// A call to another function module returned.
-    fn call_exit(&mut self, callee: ModuleId) -> Result<(), SimError> {
-        let _ = callee;
-        Ok(())
-    }
 }

@@ -1,14 +1,21 @@
-//! The IR interpreter: executes function modules op by op, forwarding every
-//! hardware-visible action to a [`SimBackend`].
+//! The IR executor: runs function modules op by op on an explicit frame
+//! stack, forwarding every hardware-visible action to a [`SimBackend`] and
+//! keeping every frame's place in hardware time.
 
-use crate::backend::SimBackend;
+use crate::backend::{At, Halt, SimBackend};
 use crate::error::SimError;
+use crate::timeline::Timeline;
 use omnisim_ir::{BlockId, Design, Expr, ModuleId, Op, Terminator, VarId};
+use std::convert::Infallible;
 
 /// Default fuel budget (number of executed operations) before the interpreter
 /// aborts with [`SimError::OutOfFuel`]. Generous enough for the largest
 /// benchmark designs while still catching runaway infinite loops.
 pub const DEFAULT_FUEL: u64 = 200_000_000;
+
+/// The cycle at which a task enters its first block: one cycle after its
+/// dataflow region starts.
+const TASK_START: u64 = 1;
 
 /// Result of executing one module to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,20 +24,312 @@ pub struct ExecOutcome {
     pub return_value: Option<i64>,
     /// Number of operations executed (including called modules).
     pub ops_executed: u64,
+    /// The cycle at which the module's final block exits.
+    pub end_cycle: u64,
 }
 
-/// Interprets function modules of a [`Design`] against a [`SimBackend`].
+/// How one [`Executor::step`] ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step<W> {
+    /// The module returned.
+    Done(ExecOutcome),
+    /// The backend answered "not yet"; the next step retries the same
+    /// operation.
+    Pending(W),
+}
+
+/// One activation of a function module: its registers, its place in the
+/// code and its place in hardware time.
+#[derive(Debug)]
+struct Frame {
+    module: ModuleId,
+    vars: Vec<i64>,
+    block: BlockId,
+    /// Index of the next operation of `block`; the block's length stands
+    /// for its terminator.
+    op: usize,
+    timeline: Timeline,
+}
+
+/// A resumable execution of one function module and the modules it calls —
+/// the only walker of the IR in the workspace.
 ///
-/// The interpreter is deliberately value-only: all state that hardware would
-/// hold outside a module's registers (FIFO contents, array memory, AXI
-/// buffers, outputs) lives in the backend, so different simulators can give
-/// the same design different semantics (infinite FIFOs for C simulation,
-/// hardware-timed FIFOs for OmniSim, …).
+/// Calls push a frame whose first block is entered one cycle after the call
+/// operation's scheduled cycle; a return stalls the caller so that the call
+/// operation completes one cycle after the callee's final block exits. Every
+/// simulator therefore shares one call contract and one cycle arithmetic.
+///
+/// All state that hardware would hold outside a module's registers (FIFO
+/// contents, array memory, AXI buffers, outputs) lives in the backend, so
+/// different simulators can give the same design different semantics
+/// (infinite FIFOs for C simulation, hardware-timed FIFOs for OmniSim, …).
+#[derive(Debug)]
+pub struct Executor<'d> {
+    design: &'d Design,
+    frames: Vec<Frame>,
+    fuel: u64,
+    ops_executed: u64,
+}
+
+impl<'d> Executor<'d> {
+    /// Prepares `module` to run with a budget of `fuel` operations. `args`
+    /// are bound to its lowest-numbered variables; the rest start at zero.
+    /// Its first block is entered at cycle 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Aborted`] if `module` is a dataflow region
+    /// (regions are driven by the simulators themselves).
+    pub fn new(
+        design: &'d Design,
+        module: ModuleId,
+        args: &[i64],
+        fuel: u64,
+    ) -> Result<Self, SimError> {
+        let mut exec = Executor {
+            design,
+            frames: Vec::new(),
+            fuel,
+            ops_executed: 0,
+        };
+        exec.enter(module, args, TASK_START)?;
+        Ok(exec)
+    }
+
+    /// Operations executed so far; a call counts once, when it is entered.
+    pub fn ops_executed(&self) -> u64 {
+        self.ops_executed
+    }
+
+    /// Depth of the call stack: 1 while the root module runs, 0 once it has
+    /// returned.
+    pub fn depth(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Runs operations until the module returns or the backend answers "not
+    /// yet", either to an operation or in [`SimBackend::admit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns any error raised by the backend, [`SimError::OutOfFuel`] if
+    /// the fuel budget is exhausted, or [`SimError::Aborted`] if a call
+    /// targets a dataflow region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called again after it returned [`Step::Done`].
+    pub fn step<B: SimBackend>(&mut self, backend: &mut B) -> Result<Step<B::Wait>, SimError> {
+        let design = self.design;
+        'frames: loop {
+            let frame = self
+                .frames
+                .last_mut()
+                .expect("step after the module returned");
+            let module = design.module(frame.module);
+            loop {
+                let block = &module.blocks[frame.block.index()];
+                let entry = frame.timeline.block_entry();
+                while let Some(sop) = block.ops.get(frame.op) {
+                    let cycle = frame.timeline.op_cycle(sop.offset);
+                    if let Err(wait) = backend.admit(entry, Some((&sop.op, cycle))) {
+                        return Ok(Step::Pending(wait));
+                    }
+                    if self.ops_executed == self.fuel {
+                        return Err(SimError::OutOfFuel {
+                            module: frame.module,
+                        });
+                    }
+                    if let Op::Call { callee, args, .. } = &sop.op {
+                        let args: Vec<i64> = args.iter().map(|a| eval(a, &frame.vars)).collect();
+                        self.enter(*callee, &args, cycle + 1)?;
+                        self.ops_executed += 1;
+                        continue 'frames;
+                    }
+                    match frame.run(&sop.op, sop.offset, cycle, backend) {
+                        Ok(()) => frame.op += 1,
+                        Err(Halt::Wait(wait)) => return Ok(Step::Pending(wait)),
+                        Err(Halt::Fail(error)) => return Err(error),
+                    }
+                    self.ops_executed += 1;
+                }
+                if let Err(wait) = backend.admit(entry, None) {
+                    return Ok(Step::Pending(wait));
+                }
+                let next = match &block.terminator {
+                    Terminator::Jump(next) => *next,
+                    Terminator::Branch {
+                        cond,
+                        if_true,
+                        if_false,
+                    } => {
+                        if eval(cond, &frame.vars) != 0 {
+                            *if_true
+                        } else {
+                            *if_false
+                        }
+                    }
+                    Terminator::Return(value) => {
+                        let value = value.as_ref().map(|e| eval(e, &frame.vars));
+                        let end_cycle = frame.timeline.block_exit();
+                        self.frames.pop();
+                        let Some(caller) = self.frames.last_mut() else {
+                            return Ok(Step::Done(ExecOutcome {
+                                return_value: value,
+                                ops_executed: self.ops_executed,
+                                end_cycle,
+                            }));
+                        };
+                        caller.complete_call(design, value, end_cycle);
+                        continue 'frames;
+                    }
+                };
+                // Re-entering the same block is a pipelined loop iteration.
+                let back_edge = next == frame.block;
+                frame
+                    .timeline
+                    .enter_block(&module.blocks[next.index()].schedule, back_edge);
+                frame.block = next;
+                frame.op = 0;
+            }
+        }
+    }
+
+    /// Pushes a frame for `module` whose first block is entered at `start`.
+    fn enter(&mut self, module: ModuleId, args: &[i64], start: u64) -> Result<(), SimError> {
+        let m = self.design.module(module);
+        if m.is_dataflow() {
+            return Err(SimError::Aborted {
+                reason: format!(
+                    "module {} is a dataflow region; regions are executed by the simulator, not the interpreter",
+                    m.name
+                ),
+            });
+        }
+        let mut vars = vec![0i64; m.num_vars as usize];
+        for (slot, value) in vars.iter_mut().zip(args) {
+            *slot = *value;
+        }
+        let mut timeline = Timeline::starting_at(start);
+        timeline.enter_block(&m.blocks[0].schedule, false);
+        self.frames.push(Frame {
+            module,
+            vars,
+            block: BlockId(0),
+            op: 0,
+            timeline,
+        });
+        Ok(())
+    }
+}
+
+impl Frame {
+    /// Runs one operation other than a call, scheduled at `offset` (cycle
+    /// `cycle`), against `backend`, applying the commit cycle of a stalling
+    /// access to the timeline.
+    fn run<B: SimBackend>(
+        &mut self,
+        op: &Op,
+        offset: u64,
+        cycle: u64,
+        backend: &mut B,
+    ) -> Result<(), Halt<B::Wait>> {
+        let at = At {
+            cycle,
+            frontier: cycle.min(self.timeline.next_entry_floor()),
+        };
+        let vars = &mut self.vars;
+        match op {
+            Op::Assign { dst, expr } => vars[dst.index()] = eval(expr, vars),
+            Op::ArrayLoad { dst, array, index } => {
+                vars[dst.index()] = backend.array_load(*array, eval(index, vars))?;
+            }
+            Op::ArrayStore {
+                array,
+                index,
+                value,
+            } => backend.array_store(*array, eval(index, vars), eval(value, vars))?,
+            Op::FifoWrite { fifo, value } => {
+                let commit = backend.fifo_write(*fifo, eval(value, vars), at)?;
+                self.timeline.stall_until(offset, commit);
+            }
+            Op::FifoRead { fifo, dst } => {
+                let (value, commit) = backend.fifo_read(*fifo, at)?;
+                vars[dst.index()] = value;
+                self.timeline.stall_until(offset, commit);
+            }
+            Op::FifoNbWrite {
+                fifo,
+                value,
+                success,
+            } => {
+                let ok = backend.fifo_nb_write(*fifo, eval(value, vars), at)?;
+                if let Some(s) = success {
+                    vars[s.index()] = i64::from(ok);
+                }
+            }
+            Op::FifoNbRead { fifo, dst, success } => {
+                let value = backend.fifo_nb_read(*fifo, at)?;
+                if let Some(v) = value {
+                    vars[dst.index()] = v;
+                }
+                if let Some(s) = success {
+                    vars[s.index()] = i64::from(value.is_some());
+                }
+            }
+            // Checks whose result is unused were elided by the dead-check
+            // pass (§7.3.2) and cost nothing to simulate.
+            Op::FifoEmpty { fifo, dst } => {
+                if let Some(d) = dst {
+                    vars[d.index()] = i64::from(backend.fifo_empty(*fifo, at)?);
+                }
+            }
+            Op::FifoFull { fifo, dst } => {
+                if let Some(d) = dst {
+                    vars[d.index()] = i64::from(backend.fifo_full(*fifo, at)?);
+                }
+            }
+            Op::AxiReadReq { bus, addr, len } => {
+                backend.axi_read_req(*bus, eval(addr, vars), eval(len, vars), at)?;
+            }
+            Op::AxiRead { bus, dst } => {
+                let (value, commit) = backend.axi_read(*bus, at)?;
+                vars[dst.index()] = value;
+                self.timeline.stall_until(offset, commit);
+            }
+            Op::AxiWriteReq { bus, addr, len } => {
+                backend.axi_write_req(*bus, eval(addr, vars), eval(len, vars), at)?;
+            }
+            Op::AxiWrite { bus, value } => backend.axi_write(*bus, eval(value, vars), at)?,
+            Op::AxiWriteResp { bus } => {
+                let commit = backend.axi_write_resp(*bus, at)?;
+                self.timeline.stall_until(offset, commit);
+            }
+            Op::Output { output, value } => backend.output(*output, eval(value, vars))?,
+            Op::Call { .. } => unreachable!("the executor enters calls itself"),
+        }
+        Ok(())
+    }
+
+    /// Completes the call operation this frame is suspended on: the callee's
+    /// return value lands in the call's destination, and the call commits one
+    /// cycle after the callee's final block exits at `end_cycle`.
+    fn complete_call(&mut self, design: &Design, value: Option<i64>, end_cycle: u64) {
+        let sop = &design.module(self.module).blocks[self.block.index()].ops[self.op];
+        if let Op::Call { dst: Some(dst), .. } = &sop.op {
+            self.vars[dst.index()] = value.unwrap_or(0);
+        }
+        self.timeline.stall_until(sop.offset, end_cycle + 1);
+        self.op += 1;
+    }
+}
+
+/// Runs function modules to completion on backends that never wait, drawing
+/// every run from one fuel budget.
 #[derive(Debug)]
 pub struct Interpreter<'d> {
     design: &'d Design,
     fuel: u64,
-    initial_fuel: u64,
 }
 
 impl<'d> Interpreter<'d> {
@@ -41,29 +340,12 @@ impl<'d> Interpreter<'d> {
 
     /// Creates an interpreter with an explicit fuel budget.
     pub fn with_fuel(design: &'d Design, fuel: u64) -> Self {
-        Interpreter {
-            design,
-            fuel,
-            initial_fuel: fuel,
-        }
+        Interpreter { design, fuel }
     }
 
-    /// The design being interpreted.
-    pub fn design(&self) -> &'d Design {
-        self.design
-    }
-
-    /// Remaining fuel.
-    pub fn remaining_fuel(&self) -> u64 {
-        self.fuel
-    }
-
-    /// Fuel consumed so far (total operations executed).
-    pub fn fuel_used(&self) -> u64 {
-        self.initial_fuel - self.fuel
-    }
-
-    /// Executes a function module to completion.
+    /// Executes a function module to completion: an [`Executor`] stepped
+    /// once, since a backend whose `Wait` is [`Infallible`] cannot leave it
+    /// pending.
     ///
     /// `args` are bound to the module's lowest-numbered variables; remaining
     /// variables start at zero.
@@ -74,184 +356,23 @@ impl<'d> Interpreter<'d> {
     /// the fuel budget is exhausted, or [`SimError::Aborted`] if `module`
     /// refers to a dataflow region (regions are driven by the simulators
     /// themselves, not the interpreter).
-    pub fn run_module<B: SimBackend>(
+    pub fn run_module<B: SimBackend<Wait = Infallible>>(
         &mut self,
         module: ModuleId,
         args: &[i64],
         backend: &mut B,
     ) -> Result<ExecOutcome, SimError> {
-        let start_fuel = self.fuel;
-        let rv = self.exec_function(module, args, backend)?;
-        Ok(ExecOutcome {
-            return_value: rv,
-            ops_executed: start_fuel - self.fuel,
-        })
-    }
-
-    fn exec_function<B: SimBackend>(
-        &mut self,
-        mid: ModuleId,
-        args: &[i64],
-        backend: &mut B,
-    ) -> Result<Option<i64>, SimError> {
-        let module = self.design.module(mid);
-        if module.is_dataflow() {
-            return Err(SimError::Aborted {
-                reason: format!(
-                    "module {} is a dataflow region; regions are executed by the simulator, not the interpreter",
-                    module.name
-                ),
-            });
+        let mut exec = Executor::new(self.design, module, args, self.fuel)?;
+        let step = exec.step(backend);
+        self.fuel -= exec.ops_executed();
+        match step? {
+            Step::Done(outcome) => Ok(outcome),
+            Step::Pending(never) => match never {},
         }
-        let mut vars = vec![0i64; module.num_vars as usize];
-        for (slot, value) in vars.iter_mut().zip(args) {
-            *slot = *value;
-        }
-
-        let mut current = BlockId(0);
-        let mut prev: Option<BlockId> = None;
-        loop {
-            let block = &module.blocks[current.index()];
-            backend.block_start(mid, current, block.schedule, prev == Some(current))?;
-            for sop in &block.ops {
-                self.consume_fuel(mid)?;
-                self.exec_op(mid, &sop.op, sop.offset, &mut vars, backend)?;
-            }
-            match &block.terminator {
-                Terminator::Jump(next) => {
-                    prev = Some(current);
-                    current = *next;
-                }
-                Terminator::Branch {
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let taken = eval(cond, &vars) != 0;
-                    prev = Some(current);
-                    current = if taken { *if_true } else { *if_false };
-                }
-                Terminator::Return(value) => {
-                    let rv = value.as_ref().map(|e| eval(e, &vars));
-                    backend.module_finish(mid)?;
-                    return Ok(rv);
-                }
-            }
-        }
-    }
-
-    fn consume_fuel(&mut self, module: ModuleId) -> Result<(), SimError> {
-        if self.fuel == 0 {
-            return Err(SimError::OutOfFuel { module });
-        }
-        self.fuel -= 1;
-        Ok(())
-    }
-
-    fn exec_op<B: SimBackend>(
-        &mut self,
-        mid: ModuleId,
-        op: &Op,
-        offset: u64,
-        vars: &mut [i64],
-        backend: &mut B,
-    ) -> Result<(), SimError> {
-        match op {
-            Op::Assign { dst, expr } => {
-                vars[dst.index()] = eval(expr, vars);
-            }
-            Op::ArrayLoad { dst, array, index } => {
-                let idx = eval(index, vars);
-                vars[dst.index()] = backend.array_load(*array, idx)?;
-            }
-            Op::ArrayStore {
-                array,
-                index,
-                value,
-            } => {
-                let idx = eval(index, vars);
-                let val = eval(value, vars);
-                backend.array_store(*array, idx, val)?;
-            }
-            Op::FifoWrite { fifo, value } => {
-                let val = eval(value, vars);
-                backend.fifo_write(*fifo, val, offset)?;
-            }
-            Op::FifoRead { fifo, dst } => {
-                vars[dst.index()] = backend.fifo_read(*fifo, offset)?;
-            }
-            Op::FifoNbWrite {
-                fifo,
-                value,
-                success,
-            } => {
-                let val = eval(value, vars);
-                let ok = backend.fifo_nb_write(*fifo, val, offset)?;
-                if let Some(s) = success {
-                    vars[s.index()] = i64::from(ok);
-                }
-            }
-            Op::FifoNbRead { fifo, dst, success } => {
-                let result = backend.fifo_nb_read(*fifo, offset)?;
-                match result {
-                    Some(v) => {
-                        vars[dst.index()] = v;
-                        if let Some(s) = success {
-                            vars[s.index()] = 1;
-                        }
-                    }
-                    None => {
-                        if let Some(s) = success {
-                            vars[s.index()] = 0;
-                        }
-                    }
-                }
-            }
-            Op::FifoEmpty { fifo, dst } => {
-                // Checks whose result is unused were elided by the
-                // dead-check pass (§7.3.2) and cost nothing to simulate.
-                if let Some(d) = dst {
-                    vars[d.index()] = i64::from(backend.fifo_empty(*fifo, offset)?);
-                }
-            }
-            Op::FifoFull { fifo, dst } => {
-                if let Some(d) = dst {
-                    vars[d.index()] = i64::from(backend.fifo_full(*fifo, offset)?);
-                }
-            }
-            Op::AxiReadReq { bus, addr, len } => {
-                backend.axi_read_req(*bus, eval(addr, vars), eval(len, vars), offset)?;
-            }
-            Op::AxiRead { bus, dst } => {
-                vars[dst.index()] = backend.axi_read(*bus, offset)?;
-            }
-            Op::AxiWriteReq { bus, addr, len } => {
-                backend.axi_write_req(*bus, eval(addr, vars), eval(len, vars), offset)?;
-            }
-            Op::AxiWrite { bus, value } => {
-                backend.axi_write(*bus, eval(value, vars), offset)?;
-            }
-            Op::AxiWriteResp { bus } => {
-                backend.axi_write_resp(*bus, offset)?;
-            }
-            Op::Call { callee, args, dst } => {
-                let arg_values: Vec<i64> = args.iter().map(|a| eval(a, vars)).collect();
-                backend.call_enter(*callee, offset)?;
-                let rv = self.exec_function(*callee, &arg_values, backend)?;
-                backend.call_exit(*callee)?;
-                if let Some(d) = dst {
-                    vars[d.index()] = rv.unwrap_or(0);
-                }
-            }
-            Op::Output { output, value } => {
-                backend.output(*output, eval(value, vars))?;
-            }
-        }
-        let _ = mid;
-        Ok(())
     }
 }
 
+#[inline]
 fn eval(expr: &Expr, vars: &[i64]) -> i64 {
     expr.eval(&|v: VarId| vars[v.index()])
 }
@@ -259,73 +380,69 @@ fn eval(expr: &Expr, vars: &[i64]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omnisim_ir::schedule::BlockSchedule;
     use omnisim_ir::{ArrayId, AxiId, DesignBuilder, FifoId, OutputId};
     use std::collections::{BTreeMap, VecDeque};
 
-    /// A minimal untimed backend with unbounded FIFOs, used only for
-    /// interpreter unit tests.
-    #[derive(Debug, Default)]
-    struct TestBackend {
+    /// A minimal backend with unbounded FIFOs, used only for interpreter
+    /// unit tests. It records the cycle of every blocking write, can answer
+    /// one blocking read with "not yet" (`refuse`) and stalls every blocking
+    /// read by `read_stall` cycles.
+    #[derive(Debug)]
+    struct TestBackend<W> {
         arrays: Vec<Vec<i64>>,
         fifos: Vec<VecDeque<i64>>,
         outputs: BTreeMap<OutputId, i64>,
-        blocks_seen: usize,
+        write_cycles: Vec<u64>,
+        refuse: Option<W>,
+        read_stall: u64,
     }
 
-    impl TestBackend {
+    impl<W> TestBackend<W> {
         fn for_design(design: &Design) -> Self {
             TestBackend {
                 arrays: design.arrays.iter().map(|a| a.init.clone()).collect(),
                 fifos: vec![VecDeque::new(); design.fifos.len()],
                 outputs: BTreeMap::new(),
-                blocks_seen: 0,
+                write_cycles: Vec::new(),
+                refuse: None,
+                read_stall: 0,
             }
         }
     }
 
-    impl SimBackend for TestBackend {
-        fn block_start(
-            &mut self,
-            _module: ModuleId,
-            _block: BlockId,
-            _schedule: BlockSchedule,
-            _back_edge: bool,
-        ) -> Result<(), SimError> {
-            self.blocks_seen += 1;
-            Ok(())
-        }
+    impl<W> SimBackend for TestBackend<W> {
+        type Wait = W;
 
-        fn fifo_read(&mut self, fifo: FifoId, _offset: u64) -> Result<i64, SimError> {
-            self.fifos[fifo.index()]
+        fn fifo_read(&mut self, fifo: FifoId, at: At) -> Result<(i64, u64), Halt<W>> {
+            if let Some(wait) = self.refuse.take() {
+                return Err(Halt::Wait(wait));
+            }
+            let value = self.fifos[fifo.index()]
                 .pop_front()
-                .ok_or(SimError::ReadWhileEmpty { fifo })
+                .ok_or(SimError::ReadWhileEmpty { fifo })?;
+            Ok((value, at.cycle + self.read_stall))
         }
 
-        fn fifo_write(&mut self, fifo: FifoId, value: i64, _offset: u64) -> Result<(), SimError> {
+        fn fifo_write(&mut self, fifo: FifoId, value: i64, at: At) -> Result<u64, Halt<W>> {
             self.fifos[fifo.index()].push_back(value);
-            Ok(())
+            self.write_cycles.push(at.cycle);
+            Ok(at.cycle)
         }
 
-        fn fifo_nb_read(&mut self, fifo: FifoId, _offset: u64) -> Result<Option<i64>, SimError> {
+        fn fifo_nb_read(&mut self, fifo: FifoId, _at: At) -> Result<Option<i64>, Halt<W>> {
             Ok(self.fifos[fifo.index()].pop_front())
         }
 
-        fn fifo_nb_write(
-            &mut self,
-            fifo: FifoId,
-            value: i64,
-            _offset: u64,
-        ) -> Result<bool, SimError> {
+        fn fifo_nb_write(&mut self, fifo: FifoId, value: i64, _at: At) -> Result<bool, Halt<W>> {
             self.fifos[fifo.index()].push_back(value);
             Ok(true)
         }
 
-        fn fifo_empty(&mut self, fifo: FifoId, _offset: u64) -> Result<bool, SimError> {
+        fn fifo_empty(&mut self, fifo: FifoId, _at: At) -> Result<bool, Halt<W>> {
             Ok(self.fifos[fifo.index()].is_empty())
         }
 
-        fn fifo_full(&mut self, _fifo: FifoId, _offset: u64) -> Result<bool, SimError> {
+        fn fifo_full(&mut self, _fifo: FifoId, _at: At) -> Result<bool, Halt<W>> {
             Ok(false)
         }
 
@@ -357,13 +474,13 @@ mod tests {
             _bus: AxiId,
             _addr: i64,
             _len: i64,
-            _offset: u64,
+            _at: At,
         ) -> Result<(), SimError> {
             Ok(())
         }
 
-        fn axi_read(&mut self, _bus: AxiId, _offset: u64) -> Result<i64, SimError> {
-            Ok(0)
+        fn axi_read(&mut self, _bus: AxiId, at: At) -> Result<(i64, u64), Halt<W>> {
+            Ok((0, at.cycle))
         }
 
         fn axi_write_req(
@@ -371,17 +488,17 @@ mod tests {
             _bus: AxiId,
             _addr: i64,
             _len: i64,
-            _offset: u64,
+            _at: At,
         ) -> Result<(), SimError> {
             Ok(())
         }
 
-        fn axi_write(&mut self, _bus: AxiId, _value: i64, _offset: u64) -> Result<(), SimError> {
+        fn axi_write(&mut self, _bus: AxiId, _value: i64, _at: At) -> Result<(), SimError> {
             Ok(())
         }
 
-        fn axi_write_resp(&mut self, _bus: AxiId, _offset: u64) -> Result<(), SimError> {
-            Ok(())
+        fn axi_write_resp(&mut self, _bus: AxiId, at: At) -> Result<u64, Halt<W>> {
+            Ok(at.cycle)
         }
 
         fn output(&mut self, output: OutputId, value: i64) -> Result<(), SimError> {
@@ -425,10 +542,10 @@ mod tests {
         let mut backend = TestBackend::for_design(&design);
         let mut interp = Interpreter::new(&design);
         for task in design.dataflow_tasks() {
-            interp.run_module(task, &[], &mut backend).unwrap();
+            let outcome = interp.run_module(task, &[], &mut backend).unwrap();
+            assert!(outcome.ops_executed > 10 && outcome.end_cycle > 10);
         }
         assert_eq!(backend.outputs[&OutputId(0)], 55);
-        assert!(backend.blocks_seen > 10);
     }
 
     #[test]
@@ -544,5 +661,114 @@ mod tests {
             .run_module(design.top, &[], &mut backend)
             .unwrap_err();
         assert!(matches!(err, SimError::Aborted { .. }));
+    }
+
+    #[test]
+    fn calls_follow_the_call_timing_contract() {
+        let mut d = DesignBuilder::new("contract");
+        let q = d.fifo("q", 4);
+        let r = d.fifo("r", 4);
+        let helper = d.function("helper", |m| {
+            m.entry(|b| {
+                b.latency(10);
+                b.fifo_write(q, Expr::imm(1));
+            });
+        });
+        let caller = d.function("caller", |m| {
+            m.entry(|b| {
+                b.latency(4);
+                b.at(2).call_void(helper, vec![]);
+                b.at(3).fifo_write(r, Expr::imm(2));
+            });
+        });
+        let sink = d.function("sink", |m| {
+            m.entry(|b| {
+                b.fifo_read(q);
+                b.fifo_read(r);
+            });
+        });
+        d.dataflow_top("top", [caller, sink]);
+        let design = d.build().unwrap();
+        let mut backend = TestBackend::for_design(&design);
+        let outcome = Interpreter::new(&design)
+            .run_module(caller, &[], &mut backend)
+            .unwrap();
+        // The call op is scheduled at 1 + 2 = 3, so the callee starts at 4
+        // and its block exits at 14. The call completes at 15, pushing the
+        // caller's later op from 4 to 16 and its block exit from 5 to 17.
+        assert_eq!(backend.write_cycles, [4, 16]);
+        assert_eq!(outcome.end_cycle, 17);
+        assert_eq!(outcome.ops_executed, 3);
+    }
+
+    #[test]
+    fn nested_calls_unwind_in_order() {
+        let mut d = DesignBuilder::new("nested");
+        let out = d.output("r");
+        let inner = d.function("inner", |m| {
+            m.entry(|b| {
+                b.latency(5);
+                b.ret_val(Expr::imm(5));
+            });
+        });
+        let middle = d.function("middle", |m| {
+            m.entry(|b| {
+                let v = b.call(inner, vec![]);
+                b.ret_val(Expr::var(v).add(Expr::imm(1)));
+            });
+        });
+        d.function_top("outer", |m| {
+            m.entry(|b| {
+                let v = b.call(middle, vec![]);
+                b.output(out, Expr::var(v));
+            });
+        });
+        let design = d.build().unwrap();
+        let mut backend = TestBackend::for_design(&design);
+        let outcome = Interpreter::new(&design)
+            .run_module(design.top, &[], &mut backend)
+            .unwrap();
+        assert_eq!(backend.outputs[&OutputId(0)], 6);
+        // outer calls at 1, middle starts at 2 and calls at 2, inner runs
+        // 3..8; middle's call completes at 9 and its block exits at 10;
+        // outer's call completes at 11 and its block exits at 12.
+        assert_eq!(outcome.end_cycle, 12);
+    }
+
+    #[test]
+    fn a_pending_operation_is_retried_by_the_next_step() {
+        let design = producer_consumer(3);
+        let [producer, consumer] = design.dataflow_tasks()[..] else {
+            unreachable!("two tasks")
+        };
+        let run = |refuse: Option<&'static str>, read_stall: u64| {
+            let mut backend = TestBackend::for_design(&design);
+            let mut exec = Executor::new(&design, producer, &[], DEFAULT_FUEL).unwrap();
+            assert!(matches!(exec.step(&mut backend), Ok(Step::Done(_))));
+            backend.refuse = refuse;
+            backend.read_stall = read_stall;
+            let mut exec = Executor::new(&design, consumer, &[], DEFAULT_FUEL).unwrap();
+            let mut pending = Vec::new();
+            loop {
+                match exec.step(&mut backend).unwrap() {
+                    Step::Pending(wait) => pending.push((wait, exec.ops_executed())),
+                    Step::Done(outcome) => return (outcome, pending, backend.outputs),
+                }
+            }
+        };
+        let (plain, none, outputs) = run(None, 0);
+        assert!(none.is_empty());
+        assert_eq!(outputs[&OutputId(0)], 6);
+        // The refused read is retried rather than skipped: it pends after
+        // the consumer's two set-up assignments, and the finished run has the
+        // same outputs, op count and timing, nothing executed twice.
+        let (retried, pending, outputs) = run(Some("not yet"), 0);
+        assert_eq!(pending, [("not yet", 2)]);
+        assert_eq!(outputs[&OutputId(0)], 6);
+        assert_eq!(retried, plain);
+        // A commit cycle later than the schedule stalls the task: each of
+        // the three reads commits five cycles late.
+        let (stalled, _, _) = run(None, 5);
+        assert_eq!(stalled.end_cycle, plain.end_cycle + 15);
     }
 }

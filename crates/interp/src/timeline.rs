@@ -1,8 +1,8 @@
-//! Hardware-cycle bookkeeping shared by all timing-aware simulators.
+//! Hardware-cycle bookkeeping for one executing module.
 //!
 //! A [`Timeline`] tracks one module's position in hardware time as it moves
-//! through scheduled basic blocks, applying the timing-model contract
-//! documented in `DESIGN.md`:
+//! through scheduled basic blocks, applying the timing-model contract that
+//! every simulator shares through the executor:
 //!
 //! * entering a block places its operations at `entry + offset`,
 //! * stalls accumulate and push back everything that follows,
@@ -23,6 +23,7 @@ pub struct Timeline {
 
 impl Timeline {
     /// Creates a timeline whose first block will be entered at cycle `start`.
+    #[inline]
     pub fn starting_at(start: u64) -> Self {
         Timeline {
             entry: start,
@@ -35,6 +36,7 @@ impl Timeline {
 
     /// Enters a basic block. `back_edge` selects the initiation interval
     /// instead of the full latency for pipelined self-loops.
+    #[inline]
     pub fn enter_block(&mut self, schedule: &BlockSchedule, back_edge: bool) {
         if self.started {
             let advance = if back_edge {
@@ -52,6 +54,7 @@ impl Timeline {
 
     /// The cycle at which an operation scheduled at `offset` executes,
     /// including any stall accumulated so far in the current block.
+    #[inline]
     pub fn op_cycle(&self, offset: u64) -> u64 {
         self.entry + self.delay + offset
     }
@@ -60,6 +63,7 @@ impl Timeline {
     /// `ready`; pushes back the rest of the block (and everything after it).
     ///
     /// Returns the cycle at which the operation actually completes.
+    #[inline]
     pub fn stall_until(&mut self, offset: u64, ready: u64) -> u64 {
         let nominal = self.op_cycle(offset);
         if ready > nominal {
@@ -69,12 +73,14 @@ impl Timeline {
     }
 
     /// The cycle at which the current block exits.
+    #[inline]
     pub fn block_exit(&self) -> u64 {
         self.entry + self.delay + self.latency
     }
 
     /// The cycle at which the current block was entered (including stalls
     /// from previous blocks).
+    #[inline]
     pub fn block_entry(&self) -> u64 {
         self.entry
     }
@@ -87,113 +93,9 @@ impl Timeline {
     /// of a future block instance can be scheduled before this cycle — the
     /// thread's forward-progress *frontier* used by the engines' forced
     /// query resolution.
+    #[inline]
     pub fn next_entry_floor(&self) -> u64 {
         self.entry + self.delay + self.interval
-    }
-
-    /// Total stall accumulated within the current block.
-    pub fn accumulated_delay(&self) -> u64 {
-        self.delay
-    }
-
-    /// Adds a fixed number of stall cycles (used for call overheads).
-    pub fn add_delay(&mut self, cycles: u64) {
-        self.delay += cycles;
-    }
-
-    /// True once the first block has been entered.
-    pub fn has_started(&self) -> bool {
-        self.started
-    }
-}
-
-/// A [`Timeline`] augmented with a call stack, so that calls into
-/// sub-function modules follow the shared call-timing contract:
-///
-/// * the callee's first block is entered one cycle after the call operation's
-///   scheduled cycle,
-/// * when the callee returns, the caller is stalled so that the call
-///   operation completes one cycle after the callee's final block exits.
-///
-/// Both the LightningSim baseline and the OmniSim runtime use this type, and
-/// the cycle-stepped reference simulator implements the identical rules with
-/// its explicit frame stack, so all simulators agree on call latencies.
-#[derive(Debug, Clone)]
-pub struct ModuleClock {
-    current: Timeline,
-    stack: Vec<(Timeline, u64)>,
-}
-
-impl ModuleClock {
-    /// Creates a clock whose root module starts at cycle `start`.
-    pub fn starting_at(start: u64) -> Self {
-        ModuleClock {
-            current: Timeline::starting_at(start),
-            stack: Vec::new(),
-        }
-    }
-
-    /// Enters a basic block of the currently executing module (the callee if
-    /// a call is in progress).
-    pub fn enter_block(&mut self, schedule: &BlockSchedule, back_edge: bool) {
-        self.current.enter_block(schedule, back_edge);
-    }
-
-    /// See [`Timeline::op_cycle`].
-    pub fn op_cycle(&self, offset: u64) -> u64 {
-        self.current.op_cycle(offset)
-    }
-
-    /// See [`Timeline::stall_until`].
-    pub fn stall_until(&mut self, offset: u64, ready: u64) -> u64 {
-        self.current.stall_until(offset, ready)
-    }
-
-    /// See [`Timeline::block_exit`].
-    pub fn block_exit(&self) -> u64 {
-        self.current.block_exit()
-    }
-
-    /// See [`Timeline::block_entry`].
-    pub fn block_entry(&self) -> u64 {
-        self.current.block_entry()
-    }
-
-    /// See [`Timeline::next_entry_floor`] (of the currently executing
-    /// module's timeline).
-    pub fn next_entry_floor(&self) -> u64 {
-        self.current.next_entry_floor()
-    }
-
-    /// Begins a call whose call operation is scheduled at `offset` in the
-    /// caller's current block. Subsequent [`ModuleClock::enter_block`] calls
-    /// apply to the callee until [`ModuleClock::call_exit`].
-    pub fn call_enter(&mut self, offset: u64) {
-        let start = self.current.op_cycle(offset) + 1;
-        self.stack.push((self.current.clone(), offset));
-        self.current = Timeline::starting_at(start);
-    }
-
-    /// Ends the innermost call, stalling the caller until one cycle after the
-    /// callee's final block exit. Returns the callee's end cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no call is in progress.
-    pub fn call_exit(&mut self) -> u64 {
-        let callee_end = self.current.block_exit();
-        let (mut caller, offset) = self
-            .stack
-            .pop()
-            .expect("call_exit without a matching call_enter");
-        caller.stall_until(offset, callee_end + 1);
-        self.current = caller;
-        callee_end
-    }
-
-    /// Depth of the current call stack (0 when executing the root module).
-    pub fn call_depth(&self) -> usize {
-        self.stack.len()
     }
 }
 
@@ -246,7 +148,7 @@ mod tests {
         t.enter_block(&BlockSchedule::new(2), false);
         let actual = t.stall_until(1, 0);
         assert_eq!(actual, 1);
-        assert_eq!(t.accumulated_delay(), 0);
+        assert_eq!(t.block_exit(), 2);
     }
 
     #[test]
@@ -254,57 +156,5 @@ mod tests {
         let mut t = Timeline::starting_at(17);
         t.enter_block(&BlockSchedule::new(1), false);
         assert_eq!(t.block_entry(), 17);
-        assert!(t.has_started());
-    }
-
-    #[test]
-    fn add_delay_models_call_overhead() {
-        let mut t = Timeline::starting_at(0);
-        t.enter_block(&BlockSchedule::new(2), false);
-        t.add_delay(3);
-        assert_eq!(t.block_exit(), 5);
-    }
-
-    #[test]
-    fn module_clock_applies_call_contract() {
-        let mut clock = ModuleClock::starting_at(1);
-        // Caller block, call op at offset 2.
-        clock.enter_block(&BlockSchedule::new(4), false);
-        assert_eq!(clock.op_cycle(2), 3);
-        clock.call_enter(2);
-        assert_eq!(clock.call_depth(), 1);
-        // Callee: single block of latency 10 entered one cycle after the call.
-        clock.enter_block(&BlockSchedule::new(10), false);
-        assert_eq!(clock.block_entry(), 4);
-        let callee_end = clock.call_exit();
-        assert_eq!(callee_end, 14);
-        assert_eq!(clock.call_depth(), 0);
-        // The call op now completes at callee_end + 1, pushing the block exit.
-        assert_eq!(clock.op_cycle(2), 15);
-        assert_eq!(clock.block_exit(), 17);
-    }
-
-    #[test]
-    fn nested_calls_unwind_in_order() {
-        let mut clock = ModuleClock::starting_at(0);
-        clock.enter_block(&BlockSchedule::new(1), false);
-        clock.call_enter(0);
-        clock.enter_block(&BlockSchedule::new(1), false);
-        clock.call_enter(0);
-        clock.enter_block(&BlockSchedule::new(5), false);
-        assert_eq!(clock.call_depth(), 2);
-        clock.call_exit();
-        assert_eq!(clock.call_depth(), 1);
-        clock.call_exit();
-        assert_eq!(clock.call_depth(), 0);
-        assert!(clock.block_exit() > 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "call_exit without a matching call_enter")]
-    fn unbalanced_call_exit_panics() {
-        let mut clock = ModuleClock::starting_at(0);
-        clock.enter_block(&BlockSchedule::new(1), false);
-        let _ = clock.call_exit();
     }
 }

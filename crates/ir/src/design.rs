@@ -7,7 +7,6 @@ use std::collections::BTreeMap;
 /// A FIFO channel connecting exactly one producer module to one consumer
 /// module, as in `hls::stream<T>` with `#pragma HLS stream depth=N`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FifoSpec {
     /// Human-readable channel name.
     pub name: String,
@@ -18,7 +17,6 @@ pub struct FifoSpec {
 /// A global array visible to all modules: testbench inputs, outputs and
 /// on-chip buffers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArraySpec {
     /// Human-readable array name.
     pub name: String,
@@ -29,7 +27,6 @@ pub struct ArraySpec {
 /// An AXI master port backed by a global array, with a fixed request latency
 /// (the number of cycles between a burst request and its first beat).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AxiPortSpec {
     /// Human-readable port name.
     pub name: String,
@@ -41,7 +38,6 @@ pub struct AxiPortSpec {
 
 /// Distinguishes dataflow regions from ordinary scheduled functions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ModuleKind {
     /// A dataflow region: its children execute concurrently, connected by
     /// FIFOs, and the region completes when every child has returned.
@@ -55,7 +51,6 @@ pub enum ModuleKind {
 
 /// One hardware module (an HLS function).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Module {
     /// Human-readable module name.
     pub name: String,
@@ -93,7 +88,6 @@ impl Module {
 /// A complete hardware design plus its testbench-visible environment
 /// (input arrays, declared outputs).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Design {
     /// Design name (used in reports and benchmark tables).
     pub name: String,

@@ -10,7 +10,6 @@ use std::fmt;
 
 /// Binary operators available in [`Expr::Binary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)]
 pub enum BinOp {
     Add,
@@ -35,7 +34,6 @@ pub enum BinOp {
 
 /// Unary operators available in [`Expr::Unary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)]
 pub enum UnOp {
     Neg,
@@ -55,7 +53,6 @@ pub enum UnOp {
 /// assert_eq!(e.eval(&|_| 10), 21);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Expr {
     /// A constant value.
     Const(i64),

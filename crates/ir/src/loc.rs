@@ -17,7 +17,6 @@ use std::fmt;
 /// Ordering of precision is strictly nested: an op index without a block, or
 /// a block without a module, is never produced by the constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Loc {
     /// Module the location points into, if known.
     pub module: Option<ModuleId>,

@@ -11,7 +11,6 @@ use crate::schedule::BlockSchedule;
 
 /// One operation of a basic block.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// `dst = expr`
     Assign {
@@ -196,7 +195,6 @@ impl Op {
 
 /// An operation together with its scheduled cycle offset inside the block.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduledOp {
     /// Cycle offset relative to block entry at which the operation executes.
     pub offset: u64,
@@ -206,7 +204,6 @@ pub struct ScheduledOp {
 
 /// Control-flow terminator of a basic block.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),
@@ -238,7 +235,6 @@ impl Terminator {
 
 /// A scheduled basic block.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Block {
     /// Operations in program order, each with its scheduled offset.
     pub ops: Vec<ScheduledOp>,

@@ -20,7 +20,6 @@
 ///   which reproduces the `(trip_count − 1) × II + latency` latency formula
 ///   of a pipelined HLS loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockSchedule {
     /// Number of clock cycles from block entry to block exit, absent stalls.
     pub latency: u64,

@@ -28,7 +28,6 @@ use std::fmt;
 
 /// The design classes of the paper's taxonomy (Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DesignClass {
     /// Blocking-only, acyclic, single-behaviour designs.
     TypeA,
@@ -51,7 +50,6 @@ impl fmt::Display for DesignClass {
 
 /// Simulation requirement levels (Fig. 4, top row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimLevel {
     /// Concurrency-independent, cycle-independent.
     L1,
@@ -93,7 +91,6 @@ impl DesignClass {
 /// Structural features of a design relevant to the taxonomy, plus the
 /// resulting classification.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaxonomyReport {
     /// The inferred design class.
     pub class: DesignClass,

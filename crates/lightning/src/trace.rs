@@ -2,12 +2,12 @@
 
 use crate::error::LightningError;
 use omnisim_graph::{CsrGraph, CsrGraphBuilder, Edge, NodeId};
-use omnisim_interp::{Interpreter, ModuleClock, SimBackend, SimError};
+use omnisim_interp::{At, Halt, Interpreter, SimBackend, SimError};
 use omnisim_ir::design::OutputMap;
-use omnisim_ir::schedule::BlockSchedule;
 use omnisim_ir::validate::fifo_endpoints;
-use omnisim_ir::{ArrayId, AxiId, BlockId, Design, FifoId, ModuleId, OutputId};
+use omnisim_ir::{ArrayId, AxiId, Design, FifoId, ModuleId, OutputId};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// The artefact of Phase 1: the functional outputs, the frozen simulation
 /// graph and the per-FIFO access orders needed by Phase 2.
@@ -77,9 +77,12 @@ pub(crate) fn generate_trace(design: &Design) -> Result<LightningTrace, Lightnin
     let mut backend = TraceBackend::new(design);
     let mut interp = Interpreter::new(design);
     for task in order {
-        backend.begin_task();
-        interp.run_module(task, &[], &mut backend)?;
-        backend.finish_task();
+        // Each task's events form a chain of their own: every dataflow task
+        // starts at cycle 1, concurrently in hardware.
+        backend.last_event = None;
+        let outcome = interp.run_module(task, &[], &mut backend)?;
+        let end = backend.event_node(outcome.end_cycle, outcome.end_cycle);
+        backend.end_nodes.push(end);
     }
     Ok(LightningTrace {
         graph: backend.graph.build(),
@@ -140,7 +143,6 @@ fn topological_task_order(design: &Design) -> Vec<ModuleId> {
 #[derive(Debug)]
 struct TraceBackend<'d> {
     design: &'d Design,
-    clock: ModuleClock,
     graph: CsrGraphBuilder,
     fifo_values: Vec<VecDeque<i64>>,
     fifo_writes: Vec<Vec<NodeId>>,
@@ -191,7 +193,6 @@ impl<'d> TraceBackend<'d> {
     fn new(design: &'d Design) -> Self {
         TraceBackend {
             design,
-            clock: ModuleClock::starting_at(1),
             graph: CsrGraphBuilder::new(),
             fifo_values: vec![VecDeque::new(); design.fifos.len()],
             fifo_writes: vec![Vec::new(); design.fifos.len()],
@@ -203,18 +204,6 @@ impl<'d> TraceBackend<'d> {
             axi_write_state: vec![AxiWriteState::default(); design.axi_ports.len()],
             outputs: OutputMap::new(),
         }
-    }
-
-    fn begin_task(&mut self) {
-        // Every dataflow task starts at cycle 1, concurrently in hardware.
-        self.clock = ModuleClock::starting_at(1);
-        self.last_event = None;
-    }
-
-    fn finish_task(&mut self) {
-        let end_cycle = self.clock.block_exit();
-        let node = self.event_node(end_cycle, end_cycle);
-        self.end_nodes.push(node);
     }
 
     /// Creates an event node with base time `commit` (its cycle in the
@@ -234,73 +223,61 @@ impl<'d> TraceBackend<'d> {
         self.last_event = Some((node, commit));
         node
     }
+
+    fn unsupported(&self, what: &str, fifo: FifoId) -> SimError {
+        SimError::Aborted {
+            reason: format!(
+                "{what} '{}' is not supported by LightningSim",
+                self.design.fifo(fifo).name
+            ),
+        }
+    }
 }
 
 impl SimBackend for TraceBackend<'_> {
-    fn block_start(
-        &mut self,
-        _module: ModuleId,
-        _block: BlockId,
-        schedule: BlockSchedule,
-        back_edge: bool,
-    ) -> Result<(), SimError> {
-        self.clock.enter_block(&schedule, back_edge);
-        Ok(())
-    }
+    type Wait = Infallible;
 
-    fn fifo_read(&mut self, fifo: FifoId, offset: u64) -> Result<i64, SimError> {
+    fn fifo_read(&mut self, fifo: FifoId, at: At) -> Result<(i64, u64), Halt<Infallible>> {
         let value = self.fifo_values[fifo.index()]
             .pop_front()
             .ok_or(SimError::ReadWhileEmpty { fifo })?;
-        let cycle = self.clock.op_cycle(offset);
-        let node = self.event_node(cycle, cycle);
+        let node = self.event_node(at.cycle, at.cycle);
         let reads = self.fifo_reads[fifo.index()].len();
         // Read-after-write: the r-th read happens strictly after the r-th write.
         let write_node = self.fifo_writes[fifo.index()][reads];
         self.graph.add_edge(write_node, node, 1);
         self.fifo_reads[fifo.index()].push(node);
-        Ok(value)
+        Ok((value, at.cycle))
     }
 
-    fn fifo_write(&mut self, fifo: FifoId, value: i64, offset: u64) -> Result<(), SimError> {
+    fn fifo_write(&mut self, fifo: FifoId, value: i64, at: At) -> Result<u64, Halt<Infallible>> {
         self.fifo_values[fifo.index()].push_back(value);
-        let cycle = self.clock.op_cycle(offset);
-        let node = self.event_node(cycle, cycle);
+        let node = self.event_node(at.cycle, at.cycle);
         self.fifo_writes[fifo.index()].push(node);
-        Ok(())
+        Ok(at.cycle)
     }
 
-    fn fifo_nb_read(&mut self, fifo: FifoId, _offset: u64) -> Result<Option<i64>, SimError> {
+    fn fifo_nb_read(&mut self, fifo: FifoId, _at: At) -> Result<Option<i64>, Halt<Infallible>> {
         // Non-blocking accesses require cycle-dependent functional behaviour,
         // which a decoupled Phase 1 cannot provide.
-        Err(SimError::Aborted {
-            reason: format!(
-                "non-blocking read on fifo '{}' is not supported by LightningSim",
-                self.design.fifo(fifo).name
-            ),
-        })
+        Err(self.unsupported("non-blocking read on fifo", fifo).into())
     }
 
-    fn fifo_nb_write(&mut self, fifo: FifoId, _value: i64, _offset: u64) -> Result<bool, SimError> {
-        Err(SimError::Aborted {
-            reason: format!(
-                "non-blocking write on fifo '{}' is not supported by LightningSim",
-                self.design.fifo(fifo).name
-            ),
-        })
+    fn fifo_nb_write(
+        &mut self,
+        fifo: FifoId,
+        _value: i64,
+        _at: At,
+    ) -> Result<bool, Halt<Infallible>> {
+        Err(self.unsupported("non-blocking write on fifo", fifo).into())
     }
 
-    fn fifo_empty(&mut self, fifo: FifoId, _offset: u64) -> Result<bool, SimError> {
-        Err(SimError::Aborted {
-            reason: format!(
-                "fifo status check on '{}' is not supported by LightningSim",
-                self.design.fifo(fifo).name
-            ),
-        })
+    fn fifo_empty(&mut self, fifo: FifoId, _at: At) -> Result<bool, Halt<Infallible>> {
+        Err(self.unsupported("fifo status check on", fifo).into())
     }
 
-    fn fifo_full(&mut self, fifo: FifoId, offset: u64) -> Result<bool, SimError> {
-        self.fifo_empty(fifo, offset)
+    fn fifo_full(&mut self, fifo: FifoId, _at: At) -> Result<bool, Halt<Infallible>> {
+        Err(self.unsupported("fifo status check on", fifo).into())
     }
 
     fn array_load(&mut self, array: ArrayId, index: i64) -> Result<i64, SimError> {
@@ -326,15 +303,8 @@ impl SimBackend for TraceBackend<'_> {
         Ok(())
     }
 
-    fn axi_read_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        len: i64,
-        offset: u64,
-    ) -> Result<(), SimError> {
+    fn axi_read_req(&mut self, bus: AxiId, addr: i64, len: i64, at: At) -> Result<(), SimError> {
         let port = self.design.axi_port(bus);
-        let cycle = self.clock.op_cycle(offset);
         let mut values = VecDeque::with_capacity(usize::try_from(len).unwrap_or(0));
         let data = &self.arrays[port.array.index()];
         for beat in 0..len {
@@ -349,20 +319,19 @@ impl SimBackend for TraceBackend<'_> {
                 })?;
             values.push_back(value);
         }
-        let req_node = self.event_node(cycle, cycle);
+        let req_node = self.event_node(at.cycle, at.cycle);
         self.axi_read_state[bus.index()]
             .bursts
             .push_back(ReadBurst {
                 values,
-                ready: cycle + port.request_latency,
+                ready: at.cycle + port.request_latency,
                 req_node,
                 beats_done: 0,
             });
         Ok(())
     }
 
-    fn axi_read(&mut self, bus: AxiId, offset: u64) -> Result<i64, SimError> {
-        let request = self.clock.op_cycle(offset);
+    fn axi_read(&mut self, bus: AxiId, at: At) -> Result<(i64, u64), Halt<Infallible>> {
         let port_latency = self.design.axi_port(bus).request_latency;
         let (value, ready, req_node, beat, done) = {
             let state = &mut self.axi_read_state[bus.index()];
@@ -389,20 +358,14 @@ impl SimBackend for TraceBackend<'_> {
         if done {
             self.axi_read_state[bus.index()].bursts.pop_front();
         }
-        let commit = self.clock.stall_until(offset, ready);
-        let node = self.event_node(request, commit);
+        let commit = ready.max(at.cycle);
+        let node = self.event_node(at.cycle, commit);
         self.graph
             .add_edge(req_node, node, (port_latency + beat) as i64);
-        Ok(value)
+        Ok((value, commit))
     }
 
-    fn axi_write_req(
-        &mut self,
-        bus: AxiId,
-        addr: i64,
-        len: i64,
-        _offset: u64,
-    ) -> Result<(), SimError> {
+    fn axi_write_req(&mut self, bus: AxiId, addr: i64, len: i64, _at: At) -> Result<(), SimError> {
         self.axi_write_state[bus.index()]
             .bursts
             .push_back(WriteBurst {
@@ -413,9 +376,8 @@ impl SimBackend for TraceBackend<'_> {
         Ok(())
     }
 
-    fn axi_write(&mut self, bus: AxiId, value: i64, offset: u64) -> Result<(), SimError> {
+    fn axi_write(&mut self, bus: AxiId, value: i64, at: At) -> Result<(), SimError> {
         let port = self.design.axi_port(bus);
-        let cycle = self.clock.op_cycle(offset);
         let state = &mut self.axi_write_state[bus.index()];
         let front = state
             .bursts
@@ -426,7 +388,7 @@ impl SimBackend for TraceBackend<'_> {
         let idx = front.addr + front.beats_done;
         front.beats_done += 1;
         let done = front.beats_done >= front.len;
-        state.last_beat_cycle = cycle;
+        state.last_beat_cycle = at.cycle;
         if done {
             state.bursts.pop_front();
         }
@@ -441,37 +403,26 @@ impl SimBackend for TraceBackend<'_> {
                 len,
             })?;
         *slot = value;
-        let node = self.event_node(cycle, cycle);
+        let node = self.event_node(at.cycle, at.cycle);
         self.axi_write_state[bus.index()].last_beat_node = Some(node);
         Ok(())
     }
 
-    fn axi_write_resp(&mut self, bus: AxiId, offset: u64) -> Result<(), SimError> {
+    fn axi_write_resp(&mut self, bus: AxiId, at: At) -> Result<u64, Halt<Infallible>> {
         let port = self.design.axi_port(bus);
-        let request = self.clock.op_cycle(offset);
         let ready = self.axi_write_state[bus.index()].last_beat_cycle + port.request_latency;
-        let commit = self.clock.stall_until(offset, ready);
-        let node = self.event_node(request, commit);
+        let commit = ready.max(at.cycle);
+        let node = self.event_node(at.cycle, commit);
         if let Some(beat_node) = self.axi_write_state[bus.index()].last_beat_node {
             self.graph
                 .add_edge(beat_node, node, port.request_latency as i64);
         }
-        Ok(())
+        Ok(commit)
     }
 
     fn output(&mut self, output: OutputId, value: i64) -> Result<(), SimError> {
         self.outputs
             .insert(self.design.output_name(output).to_owned(), value);
-        Ok(())
-    }
-
-    fn call_enter(&mut self, _callee: ModuleId, offset: u64) -> Result<(), SimError> {
-        self.clock.call_enter(offset);
-        Ok(())
-    }
-
-    fn call_exit(&mut self, _callee: ModuleId) -> Result<(), SimError> {
-        self.clock.call_exit();
         Ok(())
     }
 }

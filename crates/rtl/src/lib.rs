@@ -16,6 +16,14 @@
 //! simulated cycle count — exactly the property that makes RTL co-simulation
 //! slow and event-driven simulation (LightningSim, OmniSim) fast.
 //!
+//! Each task runs on `omnisim-interp`'s resumable executor, the same code
+//! that walks the IR and keeps hardware time for every other backend; this
+//! crate adds the wall clock, the cycle-accurate channels and the forced
+//! resolution of undecided non-blocking accesses on top. Since `omnisim` and
+//! this reference therefore share their call contract and initiation-interval
+//! arithmetic, `tests/timing_golden.rs` pins this reference's cycle counts
+//! with values recorded when the two still walked the IR independently.
+//!
 //! # Example
 //!
 //! ```

@@ -50,12 +50,12 @@ impl<'d> RtlSimulator<'d> {
     pub fn run(&self) -> Result<RtlReport, SimError> {
         let started = Instant::now();
         let mut shared = SharedState::new(self.design);
-        let mut tasks: Vec<TaskState<'d>> = self
+        let mut tasks = self
             .design
             .dataflow_tasks()
             .into_iter()
-            .map(|m| TaskState::new(self.design, m, 1))
-            .collect();
+            .map(|m| TaskState::new(self.design, m))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let mut cycle = 1u64;
         let mut cycles_stepped = 0u64;
@@ -136,8 +136,7 @@ impl<'d> RtlSimulator<'d> {
 
         let end = tasks
             .iter()
-            .filter(|t| t.is_finished())
-            .map(TaskState::end_time)
+            .filter_map(TaskState::end_time)
             .max()
             .unwrap_or(cycle);
         let total_cycles = match &outcome {
@@ -337,5 +336,43 @@ mod tests {
         let report = RtlSimulator::new(&design).run().unwrap();
         assert_eq!(report.output("r"), Some(36));
         assert!(report.total_cycles >= 12, "call latency must be included");
+    }
+
+    #[test]
+    fn a_callee_returning_into_its_caller_is_progress() {
+        // `caller` finishes by returning from a callee that commits no
+        // operation; the other two tasks deadlock at once. The cycle in which
+        // the call completes counts as progress, so the deadlock is declared
+        // only in the cycle after it.
+        let mut d = DesignBuilder::new("late_deadlock");
+        let q = d.fifo("q", 1);
+        let r = d.fifo("r", 1);
+        let idle = d.function("idle", |m| {
+            m.entry(|b| {
+                b.latency(3);
+            });
+        });
+        let caller = d.function("caller", |m| {
+            m.entry(|b| {
+                b.call_void(idle, vec![]);
+            });
+        });
+        let ping = d.function("ping", |m| {
+            m.entry(|b| {
+                let v = b.fifo_read(q);
+                b.fifo_write(r, Expr::var(v));
+            });
+        });
+        let pong = d.function("pong", |m| {
+            m.entry(|b| {
+                let v = b.fifo_read(r);
+                b.fifo_write(q, Expr::var(v));
+            });
+        });
+        d.dataflow_top("top", [caller, ping, pong]);
+        let design = d.build().unwrap();
+        let report = RtlSimulator::new(&design).run().unwrap();
+        assert!(report.outcome.is_deadlock());
+        assert_eq!(report.total_cycles, 3);
     }
 }

@@ -1,15 +1,17 @@
-//! Per-task resumable execution for the cycle-stepped reference simulator.
+//! Per-task execution for the cycle-stepped reference simulator.
 //!
-//! Unlike the run-to-completion interpreter in `omnisim-interp`, the
-//! reference simulator must be able to *suspend* a task mid-block whenever an
-//! operation cannot commit at the current clock cycle and resume it on a
-//! later cycle. Each task therefore carries an explicit frame stack (for
-//! calls into sub-functions) with a per-frame [`Timeline`].
+//! The reference must *suspend* a task mid-block whenever an operation
+//! cannot commit at the current clock cycle and resume it on a later cycle.
+//! Each task runs on `omnisim-interp`'s resumable [`Executor`], which walks
+//! the IR and keeps hardware time for every frame of the task's call stack;
+//! this module adds only what sits on top of it, as the executor's backend:
+//! wall-clock gating, the channel semantics of [`crate::channel`] and the
+//! forced pessimistic resolution of undecided non-blocking accesses.
 
 use crate::channel::{AxiChannel, FifoChannel};
-use omnisim_interp::{SimError, Timeline};
+use omnisim_interp::{At, Executor, Halt, SimBackend, SimError, Step};
 use omnisim_ir::design::OutputMap;
-use omnisim_ir::{BlockId, Design, Expr, ModuleId, Op, Terminator, VarId};
+use omnisim_ir::{ArrayId, AxiId, Design, FifoId, ModuleId, Op, OutputId};
 
 /// State shared by every task: FIFO channels, AXI ports, array memory and the
 /// testbench-visible outputs.
@@ -45,7 +47,8 @@ impl SharedState {
 pub enum TaskStatus {
     /// The task has run to completion.
     Finished,
-    /// The task's next operation is scheduled at a future cycle.
+    /// The task's next operation (or its block's entry, or the commit of a
+    /// stalling access) lies at a future cycle.
     Waiting,
     /// The task is stalled on a blocking FIFO access that could not commit
     /// this cycle. Carries a human-readable description for deadlock reports
@@ -73,23 +76,11 @@ pub enum TaskStatus {
 /// Result of stepping one task for one clock cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepOutcome {
-    /// True if at least one operation committed during this cycle.
+    /// True if at least one operation committed during this cycle (a call
+    /// counts both when it is entered and when its callee returns).
     pub progressed: bool,
     /// The task's status at the end of the cycle.
     pub status: TaskStatus,
-}
-
-#[derive(Debug)]
-struct Frame {
-    module: ModuleId,
-    vars: Vec<i64>,
-    block: BlockId,
-    op_idx: usize,
-    timeline: Timeline,
-    /// Caller bookkeeping (absent for the root frame): destination variable
-    /// for the return value and the scheduled offset of the call op.
-    ret_dst: Option<VarId>,
-    call_offset: u64,
 }
 
 /// One dataflow task (or the non-dataflow top function) being simulated
@@ -99,50 +90,35 @@ pub struct TaskState<'d> {
     design: &'d Design,
     /// Root module of the task (for reporting).
     pub module: ModuleId,
-    frames: Vec<Frame>,
-    finished: bool,
-    end_time: u64,
-    ops_executed: u64,
+    exec: Executor<'d>,
+    end_time: Option<u64>,
 }
 
 impl<'d> TaskState<'d> {
-    /// Creates a task whose root module starts executing at `start_cycle`.
-    pub fn new(design: &'d Design, module: ModuleId, start_cycle: u64) -> Self {
-        let m = design.module(module);
-        debug_assert!(!m.is_dataflow(), "tasks must be function modules");
-        let mut timeline = Timeline::starting_at(start_cycle);
-        timeline.enter_block(&m.blocks[0].schedule, false);
-        TaskState {
+    /// Creates a task whose root module starts executing at cycle 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Aborted`] if `module` is a dataflow region.
+    pub fn new(design: &'d Design, module: ModuleId) -> Result<Self, SimError> {
+        Ok(TaskState {
             design,
             module,
-            frames: vec![Frame {
-                module,
-                vars: vec![0; m.num_vars as usize],
-                block: BlockId(0),
-                op_idx: 0,
-                timeline,
-                ret_dst: None,
-                call_offset: 0,
-            }],
-            finished: false,
-            end_time: start_cycle,
-            ops_executed: 0,
-        }
+            // The reference is bounded by its cycle limit, not by fuel.
+            exec: Executor::new(design, module, &[], u64::MAX)?,
+            end_time: None,
+        })
     }
 
     /// True once the task has returned from its root module.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.end_time.is_some()
     }
 
-    /// Cycle at which the task finished (meaningful once finished).
-    pub fn end_time(&self) -> u64 {
+    /// Cycle at which the task's root module's final block exited, once the
+    /// task has finished.
+    pub fn end_time(&self) -> Option<u64> {
         self.end_time
-    }
-
-    /// Total operations committed by this task.
-    pub fn ops_executed(&self) -> u64 {
-        self.ops_executed
     }
 
     /// Name of the task's root module.
@@ -152,479 +128,254 @@ impl<'d> TaskState<'d> {
 
     /// Executes every operation of this task that can commit at `cycle`.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] for array out-of-bounds accesses and AXI
-    /// protocol violations.
     /// `force_nb` pessimistically resolves the first undecided non-blocking
     /// access encountered (at most one per call) instead of reporting
     /// [`TaskStatus::Undecided`]; the driver sets it when the whole
     /// simulation is stuck.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] for array out-of-bounds accesses and AXI
+    /// protocol violations.
     pub fn step_cycle(
         &mut self,
         cycle: u64,
         shared: &mut SharedState,
-        mut force_nb: bool,
+        force_nb: bool,
     ) -> Result<StepOutcome, SimError> {
-        let mut progressed = false;
-        loop {
-            if self.finished {
-                return Ok(StepOutcome {
-                    progressed,
-                    status: TaskStatus::Finished,
-                });
-            }
-            let frame = self.frames.last_mut().expect("unfinished task has a frame");
-            let module = self.design.module(frame.module);
-            let block = &module.blocks[frame.block.index()];
-
-            if frame.timeline.block_entry() > cycle {
-                return Ok(StepOutcome {
-                    progressed,
-                    status: TaskStatus::Waiting,
-                });
-            }
-
-            if frame.op_idx < block.ops.len() {
-                let sop = &block.ops[frame.op_idx];
-                let effective = frame.timeline.op_cycle(sop.offset);
-                // Only channel-interacting operations are gated on the wall
-                // clock: their hardware cycle must not run ahead of the
-                // global step, so that every access is committed against
-                // channel state that is final up to that cycle. Local
-                // operations (assigns, array traffic, outputs) have no
-                // cross-task timing and execute as soon as program order
-                // reaches them — their hardware time is fully described by
-                // the timeline. Without this split, an operation scheduled
-                // late in a pipelined loop body would serialize against the
-                // next iteration's early operations, which real pipelined
-                // hardware overlaps.
-                if interacts_with_channels(&sop.op) && effective > cycle {
-                    return Ok(StepOutcome {
-                        progressed,
-                        status: TaskStatus::Waiting,
-                    });
-                }
-                match Self::try_op(
-                    self.design,
-                    frame,
-                    sop.offset,
-                    &sop.op,
-                    cycle,
-                    shared,
-                    &mut force_nb,
-                )? {
-                    OpResult::Committed => {
-                        frame.op_idx += 1;
-                        progressed = true;
-                        self.ops_executed += 1;
-                    }
-                    OpResult::Blocked(reason) => {
-                        let frame = self.frames.last().expect("frame");
-                        let sop = &self.design.module(frame.module).blocks[frame.block.index()].ops
-                            [frame.op_idx];
-                        let effective = frame.timeline.op_cycle(sop.offset);
-                        let frontier = effective.min(frame.timeline.next_entry_floor());
-                        return Ok(StepOutcome {
-                            progressed,
-                            status: TaskStatus::Blocked { reason, frontier },
-                        });
-                    }
-                    OpResult::WaitFuture => {
-                        return Ok(StepOutcome {
-                            progressed,
-                            status: TaskStatus::Waiting,
-                        });
-                    }
-                    OpResult::Undecided { effective } => {
-                        let frame = self.frames.last().expect("frame");
-                        let frontier = effective.min(frame.timeline.next_entry_floor());
-                        return Ok(StepOutcome {
-                            progressed,
-                            status: TaskStatus::Undecided {
-                                effective,
-                                frontier,
-                            },
-                        });
-                    }
-                    OpResult::EnterCall {
-                        callee,
-                        args,
-                        dst,
-                        offset,
-                    } => {
-                        let callee_module = self.design.module(callee);
-                        let start = frame.timeline.op_cycle(offset) + 1;
-                        let mut timeline = Timeline::starting_at(start);
-                        timeline.enter_block(&callee_module.blocks[0].schedule, false);
-                        let mut vars = vec![0; callee_module.num_vars as usize];
-                        for (slot, value) in vars.iter_mut().zip(&args) {
-                            *slot = *value;
-                        }
-                        self.frames.push(Frame {
-                            module: callee,
-                            vars,
-                            block: BlockId(0),
-                            op_idx: 0,
-                            timeline,
-                            ret_dst: dst,
-                            call_offset: offset,
-                        });
-                        progressed = true;
-                        self.ops_executed += 1;
-                    }
-                }
-                continue;
-            }
-
-            // All ops of the block committed: evaluate the terminator.
-            match &block.terminator {
-                Terminator::Jump(next) => {
-                    let next = *next;
-                    let back_edge = next == frame.block;
-                    frame.block = next;
-                    frame.op_idx = 0;
-                    frame
-                        .timeline
-                        .enter_block(&module.blocks[next.index()].schedule, back_edge);
-                }
-                Terminator::Branch {
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let taken = eval(cond, &frame.vars) != 0;
-                    let next = if taken { *if_true } else { *if_false };
-                    let back_edge = next == frame.block;
-                    frame.block = next;
-                    frame.op_idx = 0;
-                    frame
-                        .timeline
-                        .enter_block(&module.blocks[next.index()].schedule, back_edge);
-                }
-                Terminator::Return(value) => {
-                    let rv = value.as_ref().map(|e| eval(e, &frame.vars));
-                    let exit = frame.timeline.block_exit();
-                    let ret_dst = frame.ret_dst;
-                    let call_offset = frame.call_offset;
-                    let is_root = self.frames.len() == 1;
-                    self.frames.pop();
-                    if is_root {
-                        self.finished = true;
-                        self.end_time = exit;
-                        return Ok(StepOutcome {
-                            progressed,
-                            status: TaskStatus::Finished,
-                        });
-                    }
-                    let caller = self.frames.last_mut().expect("caller frame");
-                    if let (Some(dst), Some(v)) = (ret_dst, rv) {
-                        caller.vars[dst.index()] = v;
-                    }
-                    caller.timeline.stall_until(call_offset, exit + 1);
-                    caller.op_idx += 1;
-                    progressed = true;
-                }
-            }
+        if self.is_finished() {
+            return Ok(StepOutcome {
+                progressed: false,
+                status: TaskStatus::Finished,
+            });
         }
+        let (ops, depth) = (self.exec.ops_executed(), self.exec.depth());
+        let mut port = Port {
+            design: self.design,
+            shared,
+            wall: cycle,
+            force_nb,
+        };
+        let status = match self.exec.step(&mut port)? {
+            Step::Done(outcome) => {
+                self.end_time = Some(outcome.end_cycle);
+                TaskStatus::Finished
+            }
+            Step::Pending(status) => status,
+        };
+        // Progress is a committed operation or a callee returning into its
+        // caller (the call completing); the root's own return is not. A step
+        // that commits nothing enters no call, so a return shows as a
+        // shallower stack than the step started with, counting the root's
+        // frame as still there once it has returned.
+        let returned = self.exec.depth() + usize::from(self.is_finished()) < depth;
+        Ok(StepOutcome {
+            progressed: self.exec.ops_executed() > ops || returned,
+            status,
+        })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn try_op(
-        design: &Design,
-        frame: &mut Frame,
-        offset: u64,
-        op: &Op,
-        cycle: u64,
-        shared: &mut SharedState,
-        force_nb: &mut bool,
-    ) -> Result<OpResult, SimError> {
-        let vars = &mut frame.vars;
-        // Pessimistically resolves an undecided non-blocking outcome when
-        // the driver forces forward progress, consuming the force so at most
-        // one access per call is resolved this way.
-        let mut decide = |decision: Option<bool>, effective: u64| match decision {
-            Some(b) => Ok(b),
-            None if *force_nb => {
-                *force_nb = false;
+/// The executor's backend for one task at one wall-clock cycle: the shared
+/// channel state, the wall clock and whether one undecided non-blocking
+/// access may be forced.
+struct Port<'a, 'd> {
+    design: &'d Design,
+    shared: &'a mut SharedState,
+    wall: u64,
+    force_nb: bool,
+}
+
+impl Port<'_, '_> {
+    /// Resolves a non-blocking outcome at its scheduled cycle, which the
+    /// wall gate guarantees to have final channel state up to it. When the
+    /// driver forces forward progress, an undecided outcome is resolved
+    /// pessimistically, at most once per step.
+    fn decide(&mut self, decision: Option<bool>, at: At) -> Result<bool, Halt<TaskStatus>> {
+        match decision {
+            Some(decided) => Ok(decided),
+            None if self.force_nb => {
+                self.force_nb = false;
                 Ok(false)
             }
-            None => Err(OpResult::Undecided { effective }),
-        };
-        match op {
-            Op::Assign { dst, expr } => {
-                vars[dst.index()] = eval(expr, vars);
-                Ok(OpResult::Committed)
-            }
-            Op::ArrayLoad { dst, array, index } => {
-                let idx = eval(index, vars);
-                let data = &shared.arrays[array.index()];
-                let value = usize::try_from(idx)
-                    .ok()
-                    .and_then(|i| data.get(i).copied())
-                    .ok_or(SimError::ArrayOutOfBounds {
-                        array: *array,
-                        index: idx,
-                        len: data.len(),
-                    })?;
-                vars[dst.index()] = value;
-                Ok(OpResult::Committed)
-            }
-            Op::ArrayStore {
-                array,
-                index,
-                value,
-            } => {
-                let idx = eval(index, vars);
-                let val = eval(value, vars);
-                let data = &mut shared.arrays[array.index()];
-                let len = data.len();
-                let slot = usize::try_from(idx)
-                    .ok()
-                    .and_then(|i| data.get_mut(i))
-                    .ok_or(SimError::ArrayOutOfBounds {
-                        array: *array,
-                        index: idx,
-                        len,
-                    })?;
-                *slot = val;
-                Ok(OpResult::Committed)
-            }
-            Op::FifoWrite { fifo, value } => {
-                // The write commits at the earliest cycle that satisfies
-                // both its schedule and the buffer rule — which may lie
-                // *before* the wall cycle when the op walk lagged behind a
-                // pipelined iteration overlap (the timeline, not the walk,
-                // is hardware time).
-                let effective = frame.timeline.op_cycle(offset);
-                let channel = &mut shared.fifos[fifo.index()];
-                match channel.next_write_ready() {
-                    Some(ready) => {
-                        let commit = ready.max(effective);
-                        if commit > cycle {
-                            return Ok(OpResult::WaitFuture);
-                        }
-                        let val = eval(value, vars);
-                        frame.timeline.stall_until(offset, commit);
-                        channel.push(val, commit);
-                        shared.fifo_accesses += 1;
-                        Ok(OpResult::Committed)
-                    }
-                    None => Ok(OpResult::Blocked(format!(
-                        "blocking write to full fifo '{}'",
-                        design.fifo(*fifo).name
-                    ))),
-                }
-            }
-            Op::FifoRead { fifo, dst } => {
-                let effective = frame.timeline.op_cycle(offset);
-                let channel = &mut shared.fifos[fifo.index()];
-                match channel.next_read_ready() {
-                    Some(ready) => {
-                        let commit = ready.max(effective);
-                        if commit > cycle {
-                            return Ok(OpResult::WaitFuture);
-                        }
-                        frame.timeline.stall_until(offset, commit);
-                        vars[dst.index()] = channel.pop(commit);
-                        shared.fifo_accesses += 1;
-                        Ok(OpResult::Committed)
-                    }
-                    None => Ok(OpResult::Blocked(format!(
-                        "blocking read from empty fifo '{}'",
-                        design.fifo(*fifo).name
-                    ))),
-                }
-            }
-            Op::FifoNbWrite {
-                fifo,
-                value,
-                success,
-            } => {
-                // Non-blocking accesses and status checks observe the
-                // channel at their *scheduled* hardware cycle (never later):
-                // the wall gate in `step_cycle` guarantees the channel state
-                // up to that cycle is final.
-                let effective = frame.timeline.op_cycle(offset);
-                let channel = &mut shared.fifos[fifo.index()];
-                let ok = match decide(channel.can_write_decided(effective), effective) {
-                    Ok(b) => b,
-                    Err(undecided) => return Ok(undecided),
-                };
-                if ok {
-                    let val = eval(value, vars);
-                    channel.push(val, effective);
-                    shared.fifo_accesses += 1;
-                }
-                if let Some(s) = success {
-                    vars[s.index()] = i64::from(ok);
-                }
-                Ok(OpResult::Committed)
-            }
-            Op::FifoNbRead { fifo, dst, success } => {
-                let effective = frame.timeline.op_cycle(offset);
-                let channel = &mut shared.fifos[fifo.index()];
-                let ok = match decide(channel.can_read_decided(effective), effective) {
-                    Ok(b) => b,
-                    Err(undecided) => return Ok(undecided),
-                };
-                if ok {
-                    vars[dst.index()] = channel.pop(effective);
-                    shared.fifo_accesses += 1;
-                }
-                if let Some(s) = success {
-                    vars[s.index()] = i64::from(ok);
-                }
-                Ok(OpResult::Committed)
-            }
-            Op::FifoEmpty { fifo, dst } => {
-                let effective = frame.timeline.op_cycle(offset);
-                if let Some(d) = dst {
-                    let channel = &shared.fifos[fifo.index()];
-                    let can = match decide(channel.can_read_decided(effective), effective) {
-                        Ok(b) => b,
-                        Err(undecided) => return Ok(undecided),
-                    };
-                    vars[d.index()] = i64::from(!can);
-                }
-                Ok(OpResult::Committed)
-            }
-            Op::FifoFull { fifo, dst } => {
-                let effective = frame.timeline.op_cycle(offset);
-                if let Some(d) = dst {
-                    let channel = &shared.fifos[fifo.index()];
-                    let can = match decide(channel.can_write_decided(effective), effective) {
-                        Ok(b) => b,
-                        Err(undecided) => return Ok(undecided),
-                    };
-                    vars[d.index()] = i64::from(!can);
-                }
-                Ok(OpResult::Committed)
-            }
-            Op::AxiReadReq { bus, addr, len } => {
-                let a = eval(addr, vars);
-                let l = eval(len, vars);
-                let effective = frame.timeline.op_cycle(offset);
-                shared.axis[bus.index()].read_req(a, l, effective);
-                Ok(OpResult::Committed)
-            }
-            Op::AxiRead { bus, dst } => {
-                let port = design.axi_port(*bus);
-                let channel = &mut shared.axis[bus.index()];
-                let (ready, addr) =
-                    channel
-                        .next_read_beat()
-                        .ok_or_else(|| SimError::AxiProtocolViolation {
-                            detail: format!(
-                                "read beat on '{}' without an outstanding burst",
-                                port.name
-                            ),
-                        })?;
-                let effective = frame.timeline.op_cycle(offset);
-                let commit = ready.max(effective);
-                if commit > cycle {
-                    return Ok(OpResult::WaitFuture);
-                }
-                let data = &shared.arrays[port.array.index()];
-                let value = usize::try_from(addr)
-                    .ok()
-                    .and_then(|i| data.get(i).copied())
-                    .ok_or(SimError::ArrayOutOfBounds {
-                        array: port.array,
-                        index: addr,
-                        len: data.len(),
-                    })?;
-                frame.timeline.stall_until(offset, commit);
-                channel.take_read_beat();
-                vars[dst.index()] = value;
-                Ok(OpResult::Committed)
-            }
-            Op::AxiWriteReq { bus, addr, len } => {
-                let a = eval(addr, vars);
-                let l = eval(len, vars);
-                let effective = frame.timeline.op_cycle(offset);
-                shared.axis[bus.index()].write_req(a, l, effective);
-                Ok(OpResult::Committed)
-            }
-            Op::AxiWrite { bus, value } => {
-                let port = design.axi_port(*bus);
-                let val = eval(value, vars);
-                let addr = shared.axis[bus.index()].next_write_addr().ok_or_else(|| {
-                    SimError::AxiProtocolViolation {
-                        detail: format!(
-                            "write beat on '{}' without an outstanding burst",
-                            port.name
-                        ),
-                    }
-                })?;
-                let data = &mut shared.arrays[port.array.index()];
-                let len = data.len();
-                let slot = usize::try_from(addr)
-                    .ok()
-                    .and_then(|i| data.get_mut(i))
-                    .ok_or(SimError::ArrayOutOfBounds {
-                        array: port.array,
-                        index: addr,
-                        len,
-                    })?;
-                *slot = val;
-                let effective = frame.timeline.op_cycle(offset);
-                shared.axis[bus.index()].take_write_beat(effective);
-                Ok(OpResult::Committed)
-            }
-            Op::AxiWriteResp { bus } => {
-                let ready = shared.axis[bus.index()].write_resp_ready();
-                let effective = frame.timeline.op_cycle(offset);
-                let commit = ready.max(effective);
-                if commit > cycle {
-                    return Ok(OpResult::WaitFuture);
-                }
-                frame.timeline.stall_until(offset, commit);
-                Ok(OpResult::Committed)
-            }
-            Op::Call { callee, args, dst } => {
-                let arg_values: Vec<i64> = args.iter().map(|a| eval(a, vars)).collect();
-                Ok(OpResult::EnterCall {
-                    callee: *callee,
-                    args: arg_values,
-                    dst: *dst,
-                    offset,
-                })
-            }
-            Op::Output { output, value } => {
-                let val = eval(value, vars);
-                shared
-                    .outputs
-                    .insert(design.output_name(*output).to_owned(), val);
-                Ok(OpResult::Committed)
-            }
+            None => Err(Halt::Wait(TaskStatus::Undecided {
+                effective: at.cycle,
+                frontier: at.frontier,
+            })),
+        }
+    }
+
+    /// A stalling access commits at the earliest cycle that satisfies both
+    /// its schedule and `ready` — which may lie *before* the wall cycle when
+    /// the op walk lagged behind a pipelined iteration overlap (the timeline,
+    /// not the walk, is hardware time) but never after it.
+    fn commit(&self, ready: u64, at: At) -> Result<u64, Halt<TaskStatus>> {
+        let commit = ready.max(at.cycle);
+        if commit > self.wall {
+            return Err(Halt::Wait(TaskStatus::Waiting));
+        }
+        Ok(commit)
+    }
+
+    fn cell(&mut self, array: ArrayId, index: i64) -> Result<&mut i64, SimError> {
+        let data = &mut self.shared.arrays[array.index()];
+        let len = data.len();
+        usize::try_from(index)
+            .ok()
+            .and_then(|i| data.get_mut(i))
+            .ok_or(SimError::ArrayOutOfBounds { array, index, len })
+    }
+
+    fn axi_violation(&self, what: &str, bus: AxiId) -> SimError {
+        SimError::AxiProtocolViolation {
+            detail: format!(
+                "{what} beat on '{}' without an outstanding burst",
+                self.design.axi_port(bus).name
+            ),
         }
     }
 }
 
-#[derive(Debug)]
-enum OpResult {
-    Committed,
-    Blocked(String),
-    WaitFuture,
-    Undecided {
-        effective: u64,
-    },
-    EnterCall {
-        callee: ModuleId,
-        args: Vec<i64>,
-        dst: Option<VarId>,
-        offset: u64,
-    },
+impl SimBackend for Port<'_, '_> {
+    type Wait = TaskStatus;
+
+    /// Wall-clock gating. No block is entered before its entry cycle, and
+    /// only channel-interacting operations are held to the wall clock
+    /// beyond that: their hardware cycle must not run ahead of the global
+    /// step, so that every access is committed against channel state that
+    /// is final up to that cycle. Local operations (assigns, array traffic,
+    /// outputs, calls) have no cross-task timing and execute as soon as
+    /// program order reaches them — their hardware time is fully described
+    /// by the timeline. Without this split, an operation scheduled late in a
+    /// pipelined loop body would serialize against the next iteration's
+    /// early operations, which real pipelined hardware overlaps.
+    fn admit(&mut self, entry: u64, op: Option<(&Op, u64)>) -> Result<(), TaskStatus> {
+        let early = entry > self.wall
+            || op.is_some_and(|(op, cycle)| cycle > self.wall && interacts_with_channels(op));
+        if early {
+            return Err(TaskStatus::Waiting);
+        }
+        Ok(())
+    }
+
+    fn fifo_read(&mut self, fifo: FifoId, at: At) -> Result<(i64, u64), Halt<TaskStatus>> {
+        let Some(ready) = self.shared.fifos[fifo.index()].next_read_ready() else {
+            let name = &self.design.fifo(fifo).name;
+            return Err(blocked(
+                format!("blocking read from empty fifo '{name}'"),
+                at,
+            ));
+        };
+        let commit = self.commit(ready, at)?;
+        self.shared.fifo_accesses += 1;
+        Ok((self.shared.fifos[fifo.index()].pop(commit), commit))
+    }
+
+    fn fifo_write(&mut self, fifo: FifoId, value: i64, at: At) -> Result<u64, Halt<TaskStatus>> {
+        let Some(ready) = self.shared.fifos[fifo.index()].next_write_ready() else {
+            let name = &self.design.fifo(fifo).name;
+            return Err(blocked(format!("blocking write to full fifo '{name}'"), at));
+        };
+        let commit = self.commit(ready, at)?;
+        self.shared.fifo_accesses += 1;
+        self.shared.fifos[fifo.index()].push(value, commit);
+        Ok(commit)
+    }
+
+    fn fifo_nb_read(&mut self, fifo: FifoId, at: At) -> Result<Option<i64>, Halt<TaskStatus>> {
+        let decision = self.shared.fifos[fifo.index()].can_read_decided(at.cycle);
+        if !self.decide(decision, at)? {
+            return Ok(None);
+        }
+        self.shared.fifo_accesses += 1;
+        Ok(Some(self.shared.fifos[fifo.index()].pop(at.cycle)))
+    }
+
+    fn fifo_nb_write(
+        &mut self,
+        fifo: FifoId,
+        value: i64,
+        at: At,
+    ) -> Result<bool, Halt<TaskStatus>> {
+        let decision = self.shared.fifos[fifo.index()].can_write_decided(at.cycle);
+        let accepted = self.decide(decision, at)?;
+        if accepted {
+            self.shared.fifo_accesses += 1;
+            self.shared.fifos[fifo.index()].push(value, at.cycle);
+        }
+        Ok(accepted)
+    }
+
+    fn fifo_empty(&mut self, fifo: FifoId, at: At) -> Result<bool, Halt<TaskStatus>> {
+        let decision = self.shared.fifos[fifo.index()].can_read_decided(at.cycle);
+        Ok(!self.decide(decision, at)?)
+    }
+
+    fn fifo_full(&mut self, fifo: FifoId, at: At) -> Result<bool, Halt<TaskStatus>> {
+        let decision = self.shared.fifos[fifo.index()].can_write_decided(at.cycle);
+        Ok(!self.decide(decision, at)?)
+    }
+
+    fn array_load(&mut self, array: ArrayId, index: i64) -> Result<i64, SimError> {
+        self.cell(array, index).copied()
+    }
+
+    fn array_store(&mut self, array: ArrayId, index: i64, value: i64) -> Result<(), SimError> {
+        *self.cell(array, index)? = value;
+        Ok(())
+    }
+
+    fn axi_read_req(&mut self, bus: AxiId, addr: i64, len: i64, at: At) -> Result<(), SimError> {
+        self.shared.axis[bus.index()].read_req(addr, len, at.cycle);
+        Ok(())
+    }
+
+    fn axi_read(&mut self, bus: AxiId, at: At) -> Result<(i64, u64), Halt<TaskStatus>> {
+        let (ready, addr) = self.shared.axis[bus.index()]
+            .next_read_beat()
+            .ok_or_else(|| self.axi_violation("read", bus))?;
+        let commit = self.commit(ready, at)?;
+        let value = *self.cell(self.design.axi_port(bus).array, addr)?;
+        self.shared.axis[bus.index()].take_read_beat();
+        Ok((value, commit))
+    }
+
+    fn axi_write_req(&mut self, bus: AxiId, addr: i64, len: i64, at: At) -> Result<(), SimError> {
+        self.shared.axis[bus.index()].write_req(addr, len, at.cycle);
+        Ok(())
+    }
+
+    fn axi_write(&mut self, bus: AxiId, value: i64, at: At) -> Result<(), SimError> {
+        let addr = self.shared.axis[bus.index()]
+            .next_write_addr()
+            .ok_or_else(|| self.axi_violation("write", bus))?;
+        *self.cell(self.design.axi_port(bus).array, addr)? = value;
+        self.shared.axis[bus.index()].take_write_beat(at.cycle);
+        Ok(())
+    }
+
+    fn axi_write_resp(&mut self, bus: AxiId, at: At) -> Result<u64, Halt<TaskStatus>> {
+        self.commit(self.shared.axis[bus.index()].write_resp_ready(), at)
+    }
+
+    fn output(&mut self, output: OutputId, value: i64) -> Result<(), SimError> {
+        self.shared
+            .outputs
+            .insert(self.design.output_name(output).to_owned(), value);
+        Ok(())
+    }
 }
 
-fn eval(expr: &Expr, vars: &[i64]) -> i64 {
-    expr.eval(&|v: VarId| vars[v.index()])
+fn blocked(reason: String, at: At) -> Halt<TaskStatus> {
+    Halt::Wait(TaskStatus::Blocked {
+        reason,
+        frontier: at.frontier,
+    })
 }
 
 /// True for operations whose timing is visible to other tasks through a
-/// shared channel (FIFO or AXI): only these are gated on the wall clock in
-/// [`TaskState::step_cycle`].
+/// shared channel (FIFO or AXI): only these are gated on the wall clock
+/// beyond their block's entry.
 fn interacts_with_channels(op: &Op) -> bool {
     matches!(
         op,

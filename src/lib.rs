@@ -74,7 +74,7 @@
 //! ## Member crates
 //!
 //! * [`ir`] — the HLS-like design IR and builders,
-//! * [`interp`] — the IR interpreter and `SimBackend` trait,
+//! * [`interp`] — the one resumable IR executor and the `SimBackend` trait,
 //! * [`graph`] — simulation-graph structures and longest-path analysis,
 //! * [`api`] — the unified `Simulator` trait and `SimReport` types,
 //! * [`rtlsim`] — the cycle-stepped reference simulator (co-sim stand-in),
